@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/ir/transform.hpp"
+#include "analysis/ir/analyses.hpp"
 #include "bench_common.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
@@ -244,10 +244,9 @@ int main(int argc, char** argv) {
 
         Row row;
         row.schedule = core::to_string(schedule);
-        // Group-parallel support is derived from the schedule transformer:
-        // natively lockstep-legal schedules plus those with a certified
-        // rewrite (all five, as of the transform pass).
-        row.has_group = analysis::ir::group_parallel_supported(schedule);
+        // Group-parallel support is derived by the dataflow IR: only the
+        // lockstep-legal schedules (two-phase, zigzag-segmented) have one.
+        row.has_group = analysis::ir::classify_schedule(schedule).group_parallel_legal;
         row.scalar_mbps = time_engine(scalar, channels, iters, code.n());
 
         row.bit_exact = true;

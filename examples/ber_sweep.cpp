@@ -19,8 +19,9 @@
 // --lanes picks its lane mapping: "group" is the group-parallel engine
 // (lane = functional unit; twophase/segmented only), "frame" the
 // frame-per-lane batch engine (any schedule, one SIMD lane per frame),
-// "auto" (default) uses group-parallel for single frames and frame-per-lane
-// for batches. Results are bit-identical to the scalar backend either way
+// "auto" (default) uses frame-per-lane for batches and, for single frames,
+// group-parallel where the schedule allows it, else the scalar decoder.
+// Results are bit-identical to the scalar backend either way
 // (pinned by tests/test_simd.cpp and tests/test_engine.cpp).
 //
 // Runs on the frame-parallel Monte-Carlo engine with one decoder engine per

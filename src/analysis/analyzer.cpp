@@ -39,7 +39,6 @@ Report lint_configuration(const code::CodeParams& params, const code::IraTables&
         dopts.schedule = opts.decoder.schedule;
         dopts.algorithm = opts.decoder.algorithm;
         rep.merge(lint_dataflow(code, mapping, dopts));
-        rep.merge(lint_transform(opts.decoder.schedule));
     } catch (const std::exception& e) {
         // The lint rules above are meant to pre-empt every constructor
         // requirement; reaching this means a rule gap, so surface it loudly.

@@ -14,7 +14,6 @@
 #include "analysis/lint_range.hpp"
 #include "analysis/lint_range_ir.hpp"
 #include "analysis/lint_schedule.hpp"
-#include "analysis/lint_transform.hpp"
 #include "arch/anneal.hpp"
 #include "core/types.hpp"
 

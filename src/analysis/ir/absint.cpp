@@ -6,8 +6,7 @@
 // top; the checker at the bottom is a deliberately separate implementation
 // that recomputes every transfer from the certificate's claims — the two
 // halves share the trace format and nothing else, so a bug in one is
-// caught by the other (the translation-validation discipline of
-// transform.cpp).
+// caught by the other (translation validation).
 #include "analysis/ir/absint.hpp"
 
 #include <algorithm>

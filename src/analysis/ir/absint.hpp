@@ -40,8 +40,8 @@
 // per-named-stage proven bounds, a bound for every trace event, and the
 // exact first offending event when a bound exceeds its capacity.
 //
-// Following the repo's search -> certificate -> independent-check pattern
-// (transform.hpp), `check_range_certificate` shares no code with the
+// Following a search -> certificate -> independent-check pattern
+// (translation validation), `check_range_certificate` shares no code with the
 // interpreter: it replays the claimed bounds event-by-event (recomputing
 // every transfer from the claims, enforcing capacities, re-deriving the
 // layered pairing) and replays the final iteration block once more to

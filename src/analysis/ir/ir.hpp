@@ -72,6 +72,11 @@ struct Event {
     std::int32_t step = 0;   ///< lockstep step within the phase; -1 = prologue
 };
 
+/// One-line description of an event for diagnostics ("use of msg-word[5]
+/// by unit 7 (iter 1, phase 0)"); range certificates and engine validation
+/// quote offending events with it.
+std::string describe_event(const Event& ev);
+
 /// Dimensions a schedule trace is built from. The defaults are the smallest
 /// dimensions that exhibit every dependence class (>= 2 segment boundaries,
 /// >= 3 chain steps per segment); classification results are dimension-

@@ -25,6 +25,15 @@ const char* to_string(Space s) {
     return "?";
 }
 
+std::string describe_event(const Event& ev) {
+    const char* access = ev.access == Access::Def   ? "def"
+                         : ev.access == Access::Use ? "use"
+                                                    : "sink";
+    return std::string(access) + " of " + to_string(ev.space) + "[" + std::to_string(ev.index) +
+           "] by unit " + std::to_string(ev.unit) + " (iter " + std::to_string(ev.iter) +
+           ", phase " + std::to_string(ev.phase) + ")";
+}
+
 namespace {
 
 /// Emission context: current event coordinates plus the output vector.

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "analysis/ir/analyses.hpp"
-#include "analysis/ir/transform.hpp"
+#include "analysis/ir/ir.hpp"
 #include "analysis/lint_range.hpp"
 #include "core/rhs_decoder.hpp"  // kRhsCmax
 #include "util/math.hpp"         // kLlrClamp

@@ -1,8 +1,9 @@
-// Unified decoder-engine layer: central validation, the engine registry,
-// and the six in-tree engine implementations (min-sum float-scalar,
-// fixed-scalar and fixed-simd; WBF float-scalar and fixed-scalar; RHS-BP
-// float-scalar). The public Decoder/FixedDecoder classes are thin wrappers
-// over make_engine (see decoder.cpp).
+// Unified decoder-engine layer: central validation, the Engine base (span
+// checks, channel staging, telemetry), one scalar adapter template that
+// serves the five scalar engines, the SIMD engine, and the fixed table of
+// the six built-in engines make_engine picks from. The public
+// Decoder/FixedDecoder classes are thin wrappers over make_engine (see
+// decoder.cpp).
 #include "core/engine.hpp"
 
 #include <algorithm>
@@ -10,13 +11,13 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
 #include "analysis/ir/analyses.hpp"
-#include "analysis/ir/transform.hpp"
 #include "code/params.hpp"
 #include "core/arith.hpp"
 #include "core/mp_decoder.hpp"
@@ -186,37 +187,33 @@ void validate_engine_spec(const EngineSpec& spec) {
         // Legality is derived, not hardcoded: the dataflow IR classifies each
         // schedule by tracing its def/use dependences (analysis/ir). The
         // group-parallel mapping needs every same-phase dependence to stay
-        // inside one lane and respect the lockstep step order — either in
-        // the schedule as emitted (native legality) or under a certified
-        // dependence-preserving rewrite (analysis/ir/transform.hpp): the
-        // transformer's certificates are re-checked by replaying the
-        // permuted trace through the same analyses, so an uncertified
-        // schedule can never reach the group-parallel executor.
+        // inside one lane and respect the lockstep step order, which holds
+        // for two-phase and zigzag-segmented only. lane_mode=auto needs the
+        // frame-per-lane mapping for batches; its single frames run
+        // group-parallel where that is legal and on the scalar reference
+        // otherwise.
         const auto& cls = analysis::ir::classify_schedule(c.schedule);
-        if (c.lane_mode != SimdLaneMode::FramePerLane) {
-            const auto& verdict = analysis::ir::transform_schedule(c.schedule);
-            DVBS2_REQUIRE(verdict.group_parallel(),
-                          std::string("backend=simd with lane_mode=") + to_string(c.lane_mode) +
-                              " (group-parallel lanes) cannot run schedule=" +
-                              to_string(c.schedule) + ": " + cls.group_parallel_obstruction +
-                              ", and no certified lockstep rewrite exists; use "
-                              "lane_mode=frame-per-lane (one lane per frame) to run this "
-                              "schedule on the SIMD backend");
+        if (c.lane_mode == SimdLaneMode::GroupParallel) {
+            DVBS2_REQUIRE(cls.group_parallel_legal,
+                          "backend=simd with lane_mode=group-parallel cannot run schedule=" +
+                              std::string(to_string(c.schedule)) + ": " +
+                              cls.group_parallel_obstruction +
+                              "; use lane_mode=auto or frame-per-lane to run this schedule "
+                              "on the SIMD backend");
         } else {
             DVBS2_REQUIRE(cls.frame_per_lane_legal,
-                          std::string("backend=simd with lane_mode=frame-per-lane cannot run "
-                                      "schedule=") +
-                              to_string(c.schedule) + ": the schedule shares state across frames");
+                          "backend=simd with lane_mode=" + std::string(to_string(c.lane_mode)) +
+                              " cannot run schedule=" + to_string(c.schedule) +
+                              ": the schedule shares state across frames");
         }
     }
     if (spec.arith == Arithmetic::Fixed) {
         // Per-event range certification over the dataflow IR (absint.hpp):
         // the family-envelope certificate must prove every stored word and
         // wide accumulator fits the spec's quantizer, or the spec is
-        // rejected naming the first overflowing event. Every registered
-        // <= 16-bit quantizer fits (the worst vn sum stays far inside the
-        // 32-bit accumulators); this is the safety net for wider datapaths
-        // and externally registered builders.
+        // rejected naming the first overflowing event. Every <= 16-bit
+        // quantizer fits (the worst vn sum stays far inside the 32-bit
+        // accumulators); this is the safety net for wider datapaths.
         const analysis::ir::RangeCertificate cert = engine_range_certificate(spec);
         if (!cert.ok) {
             const analysis::ir::Trace trace =
@@ -234,7 +231,41 @@ void validate_engine_spec(const EngineSpec& spec) {
 
 // ---------------------------------------------------------- Engine (base)
 
+Engine::Engine(const EngineSpec& spec, std::size_t n) : spec_(spec), n_(n) {
+    // Engine-owned staging reused across calls: together with the message
+    // memories inside the wrapped decoders it is why steady-state decode
+    // calls allocate nothing. The histogram is presized to 0..max_iterations
+    // so record() never grows it (both pinned by tests/test_alloc.cpp).
+    if (spec.arith == Arithmetic::Fixed)
+        quantized_.resize(n);
+    else
+        clamped_.resize(n);
+    stats_.reserve_iterations(spec.config.max_iterations);
+}
+
 Engine::~Engine() = default;
+
+template <class Word>
+void Engine::stage(std::span<const double> llr, Word* dst) const {
+    for (std::size_t i = 0; i < llr.size(); ++i) {
+        DVBS2_REQUIRE(std::isfinite(llr[i]),
+                      "non-finite channel LLR at index " + std::to_string(i));
+        if constexpr (std::is_same_v<Word, double>)
+            dst[i] = util::clamp_llr(llr[i]);
+        else
+            dst[i] = quant::quantize(llr[i], spec_.quant);
+    }
+}
+
+void Engine::stage_and_decode(std::span<const double> llr, DecodeResult& out) {
+    if (spec_.arith == Arithmetic::Fixed) {
+        stage(llr, quantized_.data());
+        decode_staged(std::span<const quant::QLLR>(quantized_), out);
+    } else {
+        stage(llr, clamped_.data());
+        decode_staged(std::span<const double>(clamped_), out);
+    }
+}
 
 void Engine::record(const DecodeResult& r) {
     // stats_mu_ serializes the recording against convergence_snapshot()
@@ -242,11 +273,6 @@ void Engine::record(const DecodeResult& r) {
     // lock is per frame (not per iteration) and uncontended in every
     // single-threaded use, so it costs nothing measurable on the hot path.
     const std::lock_guard<std::mutex> lock(stats_mu_);
-    // Lazily sized on the first recorded frame: config() is virtual, so the
-    // base constructor cannot call it. reserve_iterations presizes the
-    // histogram to 0..max_iterations, making steady-state record() calls
-    // allocation-free (pinned by tests/test_alloc.cpp).
-    if (stats_.histogram.empty()) stats_.reserve_iterations(config().max_iterations);
     stats_.record(r.iterations, r.converged);
 }
 
@@ -258,7 +284,7 @@ ConvergenceStats Engine::convergence_snapshot() const {
 namespace {
 
 /// One diagnostic shape for every frame-length mismatch: names the actual
-/// span size, the engine's N and (for batches) the expected relation.
+/// span size and the engine's N.
 void require_frame_span(std::size_t actual, std::size_t n, const char* entry) {
     DVBS2_REQUIRE(actual == n, std::string(entry) + ": channel span has " +
                                    std::to_string(actual) +
@@ -269,56 +295,50 @@ void require_frame_span(std::size_t actual, std::size_t n, const char* entry) {
 }  // namespace
 
 void Engine::decode_into(std::span<const double> llr, DecodeResult& out) {
-    if (const std::size_t n = frame_length(); n > 0) require_frame_span(llr.size(), n, "decode_into");
-    do_decode_into(llr, out);
+    require_frame_span(llr.size(), n_, "decode_into");
+    stage_and_decode(llr, out);
     record(out);
 }
 
 void Engine::decode_raw_into(std::span<const quant::QLLR> qllr, DecodeResult& out) {
-    if (const std::size_t n = frame_length(); n > 0)
-        require_frame_span(qllr.size(), n, "decode_raw_into");
-    do_decode_raw_into(qllr, out);
+    require_frame_span(qllr.size(), n_, "decode_raw_into");
+    decode_staged(qllr, out);
     record(out);
 }
 
 void Engine::decode_batch(std::span<const double> llrs, std::span<DecodeResult> out) {
-    // Validate both spans against each other (and against N when the
-    // backend declares one) before any backend code runs, so scalar and
-    // SIMD engines reject a mismatched call with the same diagnostic: the
-    // error names both actual sizes and the relation they must satisfy.
+    // Validate both spans against each other and against N before any
+    // backend code runs, so every engine rejects a mismatched call with the
+    // same diagnostic: the error names both actual sizes and the relation
+    // they must satisfy.
     const std::size_t frames = out.size();
     DVBS2_REQUIRE(frames > 0, "decode_batch: out.size()=0 result slots for llrs.size()=" +
                                   std::to_string(llrs.size()) +
                                   " LLR values (expected llrs.size() == out.size() * N with "
                                   "out.size() >= 1)");
-    if (const std::size_t n = frame_length(); n > 0) {
-        DVBS2_REQUIRE(llrs.size() == frames * n,
-                      "decode_batch: llrs.size()=" + std::to_string(llrs.size()) +
-                          " does not match out.size()=" + std::to_string(frames) +
-                          " frames of N=" + std::to_string(n) +
-                          " (expected llrs.size() == out.size() * N = " +
-                          std::to_string(frames * n) + ")");
-    } else {
-        DVBS2_REQUIRE(llrs.size() % frames == 0,
-                      "decode_batch: llrs.size()=" + std::to_string(llrs.size()) +
-                          " is not a multiple of out.size()=" + std::to_string(frames) +
-                          " frames (expected llrs.size() == out.size() * frame length)");
-    }
-    do_decode_batch(llrs, out);
+    DVBS2_REQUIRE(llrs.size() == frames * n_,
+                  "decode_batch: llrs.size()=" + std::to_string(llrs.size()) +
+                      " does not match out.size()=" + std::to_string(frames) +
+                      " frames of N=" + std::to_string(n_) +
+                      " (expected llrs.size() == out.size() * N = " +
+                      std::to_string(frames * n_) + ")");
+    decode_frames(llrs, out);
     for (const DecodeResult& r : out) record(r);
 }
 
-void Engine::do_decode_raw_into(std::span<const quant::QLLR> /*qllr*/, DecodeResult& /*out*/) {
+void Engine::decode_staged(std::span<const double> /*llr*/, DecodeResult& /*out*/) {
+    throw std::logic_error(backend_name() + " has no float decode path");
+}
+
+void Engine::decode_staged(std::span<const quant::QLLR> /*qllr*/, DecodeResult& /*out*/) {
     throw std::runtime_error(std::string("decode_raw_into requires a fixed-point engine "
                                          "(this engine's arithmetic is ") +
                              to_string(arithmetic()) + ")");
 }
 
-void Engine::do_decode_batch(std::span<const double> llrs, std::span<DecodeResult> out) {
-    // Spans were validated by the public decode_batch wrapper.
-    const std::size_t b = out.size();
-    const std::size_t n = llrs.size() / b;
-    for (std::size_t f = 0; f < b; ++f) do_decode_into(llrs.subspan(f * n, n), out[f]);
+void Engine::decode_frames(std::span<const double> llrs, std::span<DecodeResult> out) {
+    for (std::size_t f = 0; f < out.size(); ++f)
+        stage_and_decode(llrs.subspan(f * n_, n_), out[f]);
 }
 
 DecodeResult Engine::decode(std::span<const double> llr) {
@@ -327,11 +347,7 @@ DecodeResult Engine::decode(std::span<const double> llr) {
     return result;
 }
 
-const quant::QuantSpec* Engine::quant_spec() const noexcept { return nullptr; }
-
 int Engine::preferred_batch() const noexcept { return 1; }
-
-std::size_t Engine::frame_length() const noexcept { return 0; }
 
 void Engine::set_cn_order(std::vector<int> /*order*/) {
     throw std::runtime_error("per-check-node input orders require a scalar engine "
@@ -350,136 +366,111 @@ std::vector<quant::QLLR> Engine::run_and_dump_c2v(std::span<const quant::QLLR> /
 
 namespace {
 
-/// Engine-owned staging reused across calls: `staging` holds one converted
-/// frame. Message memories live inside the wrapped decoders and persist the
-/// same way; together they are the reason steady-state decode calls
-/// allocate nothing. (The SIMD engine no longer stages whole batch blocks:
-/// decode_stream pulls frames one at a time through a quantizing source
-/// callback as lanes free up.)
-template <class T>
-struct DecodeWorkspace {
-    std::vector<T> staging;
-};
+/// The correction table the fixed Exact min-sum datapath points into.
+std::optional<quant::BoxplusTable> exact_table(const EngineSpec& spec) {
+    if (spec.arith == Arithmetic::Fixed && spec.config.algorithm == Algorithm::MinSum &&
+        spec.config.rule == CheckRule::Exact)
+        return quant::BoxplusTable(spec.quant);
+    return std::nullopt;
+}
 
-class FloatEngine final : public Engine {
+FixedArith fixed_arith(const EngineSpec& spec, const std::optional<quant::BoxplusTable>& table) {
+    const DecoderConfig& c = spec.config;
+    return FixedArith(c.rule, spec.quant, table ? &*table : nullptr, c.normalization, c.offset);
+}
+
+/// The scalar engines: one decoder of type Dec fed staged frames of Word
+/// (double for float engines, quant::QLLR for fixed ones).
+template <class Dec, class Word>
+class ScalarEngine final : public Engine {
 public:
-    FloatEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec),
-          mp_(code, spec.config,
-              FloatArith(spec.config.rule, spec.config.normalization, spec.config.offset)) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
+    ScalarEngine(const code::Dvbs2Code& code, const EngineSpec& spec, const char* name)
+        : Engine(spec, static_cast<std::size_t>(code.n())),
+          name_(name),
+          table_(exact_table(spec)),
+          dec_(build(code, spec, table_)) {}
 
     void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        mp_.set_observer(std::move(observer));
+        dec_.set_observer(std::move(observer));
     }
 
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Float; }
-    std::string backend_name() const override { return "float-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
+    std::string backend_name() const override { return name_; }
 
-    void set_cn_order(std::vector<int> order) override { mp_.set_cn_order(std::move(order)); }
-
-protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = util::clamp_llr(llr[i]);
-        }
-        mp_.decode_into(ws_.staging, out);
+    void set_cn_order(std::vector<int> order) override {
+        if constexpr (requires { dec_.set_cn_order(std::move(order)); })
+            dec_.set_cn_order(std::move(order));
+        else
+            Engine::set_cn_order(std::move(order));
     }
-
-private:
-    EngineSpec spec_;
-    MpDecoder<FloatArith> mp_;
-    DecodeWorkspace<double> ws_;
-};
-
-class FixedScalarEngine final : public Engine {
-public:
-    FixedScalarEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec),
-          table_(spec.quant),
-          mp_(code, spec.config,
-              FixedArith(spec.config.rule, spec.quant,
-                         spec.config.rule == CheckRule::Exact ? &table_ : nullptr,
-                         spec.config.normalization, spec.config.offset)) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
-
-    void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        mp_.set_observer(std::move(observer));
-    }
-
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Fixed; }
-    const quant::QuantSpec* quant_spec() const noexcept override { return &spec_.quant; }
-    std::string backend_name() const override { return "fixed-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
-
-    void set_cn_order(std::vector<int> order) override { mp_.set_cn_order(std::move(order)); }
 
     std::vector<quant::QLLR> run_and_dump_c2v(std::span<const quant::QLLR> qllr,
                                               int iters) override {
-        mp_.run_iterations(qllr, iters);
-        return mp_.c2v_messages();
+        if constexpr (std::is_same_v<Dec, MpDecoder<FixedArith>>) {
+            dec_.run_iterations(qllr, iters);
+            return dec_.c2v_messages();
+        } else {
+            return Engine::run_and_dump_c2v(qllr, iters);
+        }
     }
 
 protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = quant::quantize(llr[i], spec_.quant);
-        }
-        mp_.decode_into(ws_.staging, out);
-    }
-
-    void do_decode_raw_into(std::span<const quant::QLLR> qllr, DecodeResult& out) override {
-        mp_.decode_into(qllr, out);
+    using Engine::decode_staged;
+    void decode_staged(std::span<const Word> words, DecodeResult& out) override {
+        dec_.decode_into(words, out);
     }
 
 private:
-    EngineSpec spec_;
-    quant::BoxplusTable table_;
-    MpDecoder<FixedArith> mp_;
-    DecodeWorkspace<quant::QLLR> ws_;
+    static Dec build(const code::Dvbs2Code& code, const EngineSpec& spec,
+                     const std::optional<quant::BoxplusTable>& table) {
+        const DecoderConfig& c = spec.config;
+        if constexpr (std::is_same_v<Dec, MpDecoder<FloatArith>>)
+            return Dec(code, c, FloatArith(c.rule, c.normalization, c.offset));
+        else if constexpr (std::is_same_v<Dec, MpDecoder<FixedArith>>)
+            return Dec(code, c, fixed_arith(spec, table));
+        else
+            return Dec(code, c);
+    }
+
+    const char* name_;
+    std::optional<quant::BoxplusTable> table_;  // before dec_, which points into it
+    Dec dec_;
 };
 
-/// Fixed-point SIMD engine. Owns up to two lane mappings, selected by
-/// DecoderConfig::lane_mode: a group-parallel decoder (lane = functional
-/// unit) for single frames and a frame-per-lane decoder for batch blocks.
+/// Fixed-point SIMD engine. Batches run frame-per-lane (lane = frame) unless
+/// lane_mode=group-parallel; single frames run group-parallel (lane =
+/// functional unit) where the schedule is lockstep-legal, else on the
+/// scalar reference decoder under lane_mode=auto, else as a one-frame batch.
 class SimdEngine final : public Engine {
 public:
-    SimdEngine(const code::Dvbs2Code& code, const EngineSpec& spec) : spec_(spec) {
-        const auto n = static_cast<std::size_t>(code.n());
-        if (spec.config.lane_mode != SimdLaneMode::FramePerLane)
-            group_ = std::make_unique<SimdFixedDecoder>(code, spec.config, spec.quant);
-        if (spec.config.lane_mode != SimdLaneMode::GroupParallel)
+    SimdEngine(const code::Dvbs2Code& code, const EngineSpec& spec, const char* name)
+        : Engine(spec, static_cast<std::size_t>(code.n())), name_(name), table_(exact_table(spec)) {
+        const SimdLaneMode mode = spec.config.lane_mode;
+        if (mode != SimdLaneMode::FramePerLane) {
+            if (analysis::ir::classify_schedule(spec.config.schedule).group_parallel_legal)
+                group_ = std::make_unique<SimdFixedDecoder>(code, spec.config, spec.quant);
+            else
+                scalar_ = std::make_unique<MpDecoder<FixedArith>>(code, spec.config,
+                                                                  fixed_arith(spec, table_));
+        }
+        if (mode != SimdLaneMode::GroupParallel)
             batch_ = std::make_unique<SimdBatchFixedDecoder>(code, spec.config, spec.quant);
-        ws_.staging.resize(n);
     }
 
     void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        if (observer && group_ == nullptr)
+        if (observer && !group_ && !scalar_)
             throw std::runtime_error(
                 "lane_mode=frame-per-lane does not emit iteration traces; use "
                 "lane_mode=auto or group-parallel (or DecoderBackend::Scalar) for tracing");
         has_observer_ = static_cast<bool>(observer);
-        if (group_) group_->set_observer(std::move(observer));
+        if (group_)
+            group_->set_observer(std::move(observer));
+        else if (scalar_)
+            scalar_->set_observer(std::move(observer));
     }
 
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Fixed; }
-    const quant::QuantSpec* quant_spec() const noexcept override { return &spec_.quant; }
     std::string backend_name() const override {
-        return std::string("fixed-simd(") + simd_backend_name() + ")";
+        return std::string(name_) + "(" + simd_backend_name() + ")";
     }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
     int preferred_batch() const noexcept override {
         // Several lane blocks per call, not one: lane compaction only has
         // frames to splice into retired lanes when the batch outnumbers the
@@ -494,274 +485,118 @@ public:
             group_->run_iterations(qllr, iters);
             return group_->c2v_messages();
         }
+        if (scalar_) {
+            scalar_->run_iterations(qllr, iters);
+            return scalar_->c2v_messages();
+        }
         batch_->run_iterations(qllr, 1, iters);
         return batch_->c2v_messages(0);
     }
 
 protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        quantize_range(llr, ws_.staging.data());
-        decode_raw_single(ws_.staging, out);
+    using Engine::decode_staged;
+    void decode_staged(std::span<const quant::QLLR> qllr, DecodeResult& out) override {
+        if (group_)
+            group_->decode_into(qllr, out);
+        else if (scalar_)
+            scalar_->decode_into(qllr, out);
+        else
+            batch_->decode_into(qllr, 1, &out);
     }
 
-    void do_decode_raw_into(std::span<const quant::QLLR> qllr, DecodeResult& out) override {
-        DVBS2_REQUIRE(qllr.size() == ws_.staging.size(), "channel length mismatch");
-        decode_raw_single(qllr, out);
-    }
-
-    void do_decode_batch(std::span<const double> llrs, std::span<DecodeResult> out) override {
-        // Spans were validated by the public decode_batch wrapper (this
-        // engine declares frame_length(), so llrs.size() == b * n here).
-        const std::size_t b = out.size();
-        const std::size_t n = ws_.staging.size();
+    void decode_frames(std::span<const double> llrs, std::span<DecodeResult> out) override {
         if (!batch_ || has_observer_) {
             // Group-parallel lane mode, or tracing: decode frame by frame so
             // observers see one frame's iterations at a time, in order.
-            for (std::size_t f = 0; f < b; ++f) do_decode_into(llrs.subspan(f * n, n), out[f]);
+            Engine::decode_frames(llrs, out);
             return;
         }
-        // One decode_stream over the whole batch: frames are quantized on
+        // One decode_stream over the whole batch: frames are staged on
         // demand as lanes claim them, and retired lanes are refilled from
         // the pending frames (lane compaction), so a mixed-convergence batch
         // never leaves lanes idle while frames wait.
-        StreamCtx ctx{this, llrs.data(), n};
-        batch_->decode_stream(b, &SimdEngine::quantize_frame, &ctx, out.data());
+        StreamCtx ctx{this, llrs.data(), frame_length()};
+        batch_->decode_stream(out.size(), &SimdEngine::stage_frame, &ctx, out.data());
     }
 
 private:
-    /// decode_stream frame source: quantizes frame `f` out of the caller's
-    /// LLR block on demand (captureless, so it converts to the plain
-    /// function pointer the allocation-free stream API takes).
+    /// decode_stream frame source: stages frame `f` of the caller's LLR
+    /// block on demand (captureless, so it converts to the plain function
+    /// pointer the allocation-free stream API takes).
     struct StreamCtx {
         SimdEngine* self;
         const double* llrs;
         std::size_t n;
     };
-    static void quantize_frame(void* c, std::size_t f, quant::QLLR* dst) {
+    static void stage_frame(void* c, std::size_t f, quant::QLLR* dst) {
         auto* s = static_cast<StreamCtx*>(c);
-        s->self->quantize_range(std::span<const double>(s->llrs + f * s->n, s->n), dst);
+        s->self->stage(std::span<const double>(s->llrs + f * s->n, s->n), dst);
     }
 
-    void quantize_range(std::span<const double> llr, quant::QLLR* dst) {
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            dst[i] = quant::quantize(llr[i], spec_.quant);
-        }
-    }
-
-    void decode_raw_single(std::span<const quant::QLLR> qllr, DecodeResult& out) {
-        if (group_) {
-            group_->decode_into(qllr, out);
-            return;
-        }
-        batch_->decode_into(qllr, 1, &out);
-    }
-
-    EngineSpec spec_;
-    std::unique_ptr<SimdFixedDecoder> group_;       // lane = functional unit
-    std::unique_ptr<SimdBatchFixedDecoder> batch_;  // lane = frame
-    DecodeWorkspace<quant::QLLR> ws_;
+    const char* name_;
+    std::optional<quant::BoxplusTable> table_;       // before scalar_, which points into it
+    std::unique_ptr<SimdFixedDecoder> group_;        // lane = functional unit
+    std::unique_ptr<MpDecoder<FixedArith>> scalar_;  // serial schedules' single frames
+    std::unique_ptr<SimdBatchFixedDecoder> batch_;   // lane = frame
     bool has_observer_ = false;
 };
 
-/// Float weighted-bit-flipping engine: double reliabilities, clamped like
-/// the float MP engine so the flip metric sees the same dynamic range.
-class WbfFloatEngine final : public Engine {
-public:
-    WbfFloatEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec), wbf_(code, spec.config) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
+// ------------------------------------------------------------ engine table
 
-    void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        wbf_.set_observer(std::move(observer));
-    }
-
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Float; }
-    std::string backend_name() const override { return "wbf-float-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
-
-protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = util::clamp_llr(llr[i]);
-        }
-        wbf_.decode_into(std::span<const double>(ws_.staging), out);
-    }
-
-private:
-    EngineSpec spec_;
-    WbfDecoder<double> wbf_;
-    DecodeWorkspace<double> ws_;
+struct BuiltinEngine {
+    EngineKey key;
+    const char* name;
+    std::unique_ptr<Engine> (*build)(const code::Dvbs2Code&, const EngineSpec&, const char*);
 };
 
-/// Fixed-point WBF engine: quantized |y| as integer weights, so the flip
-/// metric is integer arithmetic except for the α·|y| term.
-class WbfFixedEngine final : public Engine {
-public:
-    WbfFixedEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec), wbf_(code, spec.config) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
+template <class E>
+std::unique_ptr<Engine> build_engine(const code::Dvbs2Code& code, const EngineSpec& spec,
+                                     const char* name) {
+    return std::make_unique<E>(code, spec, name);
+}
 
-    void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        wbf_.set_observer(std::move(observer));
-    }
-
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Fixed; }
-    const quant::QuantSpec* quant_spec() const noexcept override { return &spec_.quant; }
-    std::string backend_name() const override { return "wbf-fixed-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
-
-protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = quant::quantize(llr[i], spec_.quant);
-        }
-        wbf_.decode_into(std::span<const quant::QLLR>(ws_.staging), out);
-    }
-
-    void do_decode_raw_into(std::span<const quant::QLLR> qllr, DecodeResult& out) override {
-        wbf_.decode_into(qllr, out);
-    }
-
-private:
-    EngineSpec spec_;
-    WbfDecoder<quant::QLLR> wbf_;
-    DecodeWorkspace<quant::QLLR> ws_;
+constexpr BuiltinEngine kEngines[] = {
+    {{Algorithm::MinSum, Arithmetic::Float, DecoderBackend::Scalar}, "float-scalar",
+     &build_engine<ScalarEngine<MpDecoder<FloatArith>, double>>},
+    {{Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Scalar}, "fixed-scalar",
+     &build_engine<ScalarEngine<MpDecoder<FixedArith>, quant::QLLR>>},
+    {{Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Simd}, "fixed-simd",
+     &build_engine<SimdEngine>},
+    {{Algorithm::Wbf, Arithmetic::Float, DecoderBackend::Scalar}, "wbf-float-scalar",
+     &build_engine<ScalarEngine<WbfDecoder<double>, double>>},
+    {{Algorithm::Wbf, Arithmetic::Fixed, DecoderBackend::Scalar}, "wbf-fixed-scalar",
+     &build_engine<ScalarEngine<WbfDecoder<quant::QLLR>, quant::QLLR>>},
+    {{Algorithm::RhsBp, Arithmetic::Float, DecoderBackend::Scalar}, "rhs-float-scalar",
+     &build_engine<ScalarEngine<RhsBpDecoder, double>>},
 };
+static_assert(std::is_sorted(std::begin(kEngines), std::end(kEngines),
+                             [](const BuiltinEngine& a, const BuiltinEngine& b) {
+                                 return a.key < b.key;
+                             }),
+              "registered_engines() reports the table in key order");
 
-/// Relaxed half-stochastic BP engine (float-only: the tracker state is the
-/// analog half of the algorithm).
-class RhsEngine final : public Engine {
-public:
-    RhsEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec), rhs_(code, spec.config) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
-
-    void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        rhs_.set_observer(std::move(observer));
-    }
-
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Float; }
-    std::string backend_name() const override { return "rhs-float-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
-
-protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = util::clamp_llr(llr[i]);
-        }
-        rhs_.decode_into(std::span<const double>(ws_.staging), out);
-    }
-
-private:
-    EngineSpec spec_;
-    RhsBpDecoder rhs_;
-    DecodeWorkspace<double> ws_;
-};
-
-// --------------------------------------------------------------- registry
-
-struct Registry {
-    std::mutex mu;
-    std::vector<std::pair<EngineKey, EngineBuilder>> entries;
-};
-
-Registry& registry() {
-    static Registry r;
-    static const bool builtins = [] {
-        const auto add = [](const EngineKey& key, auto tag) {
-            using E = typename decltype(tag)::type;
-            r.entries.emplace_back(
-                key, [](const code::Dvbs2Code& code, const EngineSpec& spec) {
-                    return std::unique_ptr<Engine>(std::make_unique<E>(code, spec));
-                });
-        };
-        add({Algorithm::MinSum, Arithmetic::Float, DecoderBackend::Scalar},
-            std::type_identity<FloatEngine>{});
-        add({Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Scalar},
-            std::type_identity<FixedScalarEngine>{});
-        add({Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Simd},
-            std::type_identity<SimdEngine>{});
-        add({Algorithm::Wbf, Arithmetic::Float, DecoderBackend::Scalar},
-            std::type_identity<WbfFloatEngine>{});
-        add({Algorithm::Wbf, Arithmetic::Fixed, DecoderBackend::Scalar},
-            std::type_identity<WbfFixedEngine>{});
-        add({Algorithm::RhsBp, Arithmetic::Float, DecoderBackend::Scalar},
-            std::type_identity<RhsEngine>{});
-        return true;
-    }();
-    (void)builtins;
-    return r;
+const BuiltinEngine* find_engine(const EngineKey& key) {
+    for (const BuiltinEngine& e : kEngines)
+        if (e.key == key) return &e;
+    return nullptr;
 }
 
 }  // namespace
 
-void register_engine(const EngineKey& key, EngineBuilder builder) {
-    DVBS2_REQUIRE(builder != nullptr, "engine builder must be callable");
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (auto& entry : r.entries) {
-        if (entry.first == key) {
-            entry.second = std::move(builder);
-            return;
-        }
-    }
-    r.entries.emplace_back(key, std::move(builder));
-}
-
-bool engine_registered(const EngineKey& key) {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (const auto& entry : r.entries)
-        if (entry.first == key) return true;
-    return false;
-}
+bool engine_registered(const EngineKey& key) { return find_engine(key) != nullptr; }
 
 std::vector<EngineKey> registered_engines() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
     std::vector<EngineKey> keys;
-    keys.reserve(r.entries.size());
-    for (const auto& entry : r.entries) keys.push_back(entry.first);
-    // Sorted by (algorithm, arithmetic, backend), not registration order, so
-    // callers that sweep the registry are deterministic.
-    std::sort(keys.begin(), keys.end());
+    for (const BuiltinEngine& e : kEngines) keys.push_back(e.key);
     return keys;
 }
 
 std::unique_ptr<Engine> make_engine(const code::Dvbs2Code& code, const EngineSpec& spec) {
     validate_engine_spec(spec);
     const EngineKey key = engine_key(spec);
-    EngineBuilder builder;
-    {
-        Registry& r = registry();
-        std::lock_guard<std::mutex> lock(r.mu);
-        for (const auto& entry : r.entries) {
-            if (entry.first == key) {
-                builder = entry.second;
-                break;
-            }
-        }
-    }
-    DVBS2_REQUIRE(builder != nullptr, "no engine registered for " + to_string(key));
-    return builder(code, spec);
+    const BuiltinEngine* engine = find_engine(key);
+    DVBS2_REQUIRE(engine != nullptr, "no engine registered for " + to_string(key));
+    return engine->build(code, spec, engine->name);
 }
 
 }  // namespace dvbs2::core

@@ -6,17 +6,24 @@
 // backends), the weighted-bit-flipping decoder, and the relaxed
 // half-stochastic BP decoder all sit behind it, and every consumer — the
 // Monte-Carlo harness, the examples, the benches, the streaming service —
-// talks to this interface only. Engines are built through a registry
-// (`make_engine`) keyed by (Algorithm, Arithmetic, DecoderBackend); the
-// full EngineSpec (schedule, rule, quantization, lane mode, per-algorithm
-// knobs) parameterizes the built instance and is validated centrally by
-// validate_engine_spec before any builder runs, so illegal combinations
-// fail in one place with a diagnostic naming the offending option.
+// talks to this interface only. Engines are built by `make_engine` from a
+// fixed table of six built-in engines keyed by (Algorithm, Arithmetic,
+// DecoderBackend); the full EngineSpec (schedule, rule, quantization, lane
+// mode, per-algorithm knobs) parameterizes the built instance and is
+// validated centrally by validate_engine_spec before any engine is built,
+// so illegal combinations fail in one place with a diagnostic naming the
+// offending option.
+//
+// The base class owns everything the engines share: the spec, the frame
+// length, channel staging and the convergence telemetry. Its non-virtual
+// decode entry points check span sizes, then stage each frame through one
+// routine — reject non-finite LLRs, then clamp (float engines) or quantize
+// (fixed engines) — before handing the staged words to the backend.
 //
 // Ownership and lifetime: an engine holds a pointer to the Dvbs2Code it was
 // built for (the code must outlive it) and owns all of its mutable state —
-// message memories, staging buffers, batch blocks — in a workspace reused
-// across calls. Engines are therefore stateful and NOT thread-safe: build
+// message memories and the staging frame — in a workspace reused across
+// calls. Engines are therefore stateful and NOT thread-safe: build
 // one engine per worker (see comm/parallel.hpp and service/service.hpp).
 // The single supported cross-thread operation is convergence_snapshot(),
 // which a metrics poller may call while the owning thread decodes — every
@@ -51,11 +58,12 @@ struct EngineSpec {
 
 /// Central configuration validation: throws std::runtime_error with a
 /// diagnostic naming the offending option for any illegal combination
-/// (float arithmetic with the SIMD backend, a schedule the group-parallel
-/// lane mode cannot run, an out-of-range normalization/offset/iteration
-/// count, a malformed quantizer spec). Every construction path — engines
-/// from make_engine, the Decoder/FixedDecoder wrappers — routes through
-/// this, so there is exactly one place that decides legality.
+/// (float arithmetic with the SIMD backend, lane_mode=group-parallel on a
+/// schedule the dataflow IR proves lockstep-illegal, an out-of-range
+/// normalization/offset/iteration count, a malformed quantizer spec). Every
+/// construction path — engines from make_engine, the Decoder/FixedDecoder
+/// wrappers — routes through this, so there is exactly one place that
+/// decides legality.
 void validate_engine_spec(const EngineSpec& spec);
 
 /// The per-event range certificate validate_engine_spec consults for
@@ -78,9 +86,10 @@ public:
 
     /// Decodes one frame of channel LLRs into caller-owned result storage
     /// (allocation-free once `out` is sized; see file header). Non-virtual:
-    /// wraps the backend's do_decode_into and records the frame into the
-    /// engine's ConvergenceStats, so the telemetry is structural — every
-    /// backend, current or future, feeds it without opting in.
+    /// checks the span, stages the frame, hands it to the backend's
+    /// decode_staged and records the result into the engine's
+    /// ConvergenceStats, so the telemetry is structural — every backend
+    /// feeds it without opting in.
     void decode_into(std::span<const double> llr, DecodeResult& out);
 
     /// Fixed-point engines decode already-quantized raw values; float
@@ -92,7 +101,7 @@ public:
     /// tests/test_engine.cpp and tests/test_convergence.cpp); backends
     /// amortize setup, execute frames in parallel lanes, and refill lanes
     /// from pending frames as lanes converge (lane compaction in the SIMD
-    /// engine). The base implementation loops do_decode_into.
+    /// engine). The base implementation stages and decodes frame by frame.
     void decode_batch(std::span<const double> llrs, std::span<DecodeResult> out);
 
     /// Convenience allocating wrapper over decode_into.
@@ -134,11 +143,13 @@ public:
     /// to per-frame execution so traces arrive frame by frame, in order.
     virtual void set_observer(std::function<void(const IterationTrace&)> observer) = 0;
 
-    virtual const DecoderConfig& config() const noexcept = 0;
-    virtual Arithmetic arithmetic() const noexcept = 0;
+    const DecoderConfig& config() const noexcept { return spec_.config; }
+    Arithmetic arithmetic() const noexcept { return spec_.arith; }
 
     /// Quantization of a fixed-point engine; nullptr for float engines.
-    virtual const quant::QuantSpec* quant_spec() const noexcept;
+    const quant::QuantSpec* quant_spec() const noexcept {
+        return spec_.arith == Arithmetic::Fixed ? &spec_.quant : nullptr;
+    }
 
     /// Human-readable backend tag, e.g. "float-scalar", "fixed-simd(avx2)".
     virtual std::string backend_name() const = 0;
@@ -147,12 +158,11 @@ public:
     /// frame-parallel backends; 1 where batching only amortizes setup).
     virtual int preferred_batch() const noexcept;
 
-    /// Channel-frame length N this engine decodes, or 0 when the backend
-    /// does not declare one (externally registered engines that predate this
-    /// hook). When nonzero, the public decode entry points validate every
-    /// span against it up front, so mismatch diagnostics name the actual
-    /// sizes and the expected relation in one place.
-    virtual std::size_t frame_length() const noexcept;
+    /// Channel-frame length N this engine decodes. The public decode entry
+    /// points validate every span against it up front, so mismatch
+    /// diagnostics name the actual sizes and the expected relation in one
+    /// place.
+    std::size_t frame_length() const noexcept { return n_; }
 
     // --- diagnostic hooks implemented by a subset of engines; the default
     // --- implementations throw std::runtime_error naming the limitation ---
@@ -167,20 +177,39 @@ public:
                                                       int iters);
 
 protected:
+    /// `n` is the channel-frame length N; the spec must already be valid.
+    Engine(const EngineSpec& spec, std::size_t n);
+
+    /// The one channel staging routine: throws naming the index of the
+    /// first non-finite LLR, otherwise writes the clamped (Word = double)
+    /// or quantized (Word = quant::QLLR) frame to dst[0, llr.size()).
+    template <class Word>
+    void stage(std::span<const double> llr, Word* dst) const;
+
     // --- backend implementation points (template-method pattern): the
-    // --- public decode calls wrap these and record convergence telemetry ---
+    // --- public decode calls stage the input, call these and record
+    // --- convergence telemetry. An engine overrides the overload of its
+    // --- arithmetic; the other default throws.
 
-    /// Decodes one frame (the only hook a backend must implement).
-    virtual void do_decode_into(std::span<const double> llr, DecodeResult& out) = 0;
+    /// Decodes one staged float frame (clamped LLRs).
+    virtual void decode_staged(std::span<const double> llr, DecodeResult& out);
 
-    /// Default throws: raw quantized input needs a fixed-point engine.
-    virtual void do_decode_raw_into(std::span<const quant::QLLR> qllr, DecodeResult& out);
+    /// Decodes one staged fixed-point frame (quantized words). The default
+    /// throws: raw quantized input needs a fixed-point engine.
+    virtual void decode_staged(std::span<const quant::QLLR> qllr, DecodeResult& out);
 
-    /// Default loops do_decode_into frame by frame.
-    virtual void do_decode_batch(std::span<const double> llrs, std::span<DecodeResult> out);
+    /// Decodes a validated batch. Default stages and decodes frame by frame.
+    virtual void decode_frames(std::span<const double> llrs, std::span<DecodeResult> out);
 
 private:
+    /// Stages one frame into the engine's buffer and decodes it.
+    void stage_and_decode(std::span<const double> llr, DecodeResult& out);
     void record(const DecodeResult& r);
+
+    EngineSpec spec_;
+    std::size_t n_;
+    std::vector<double> clamped_;         // float engines' staging frame
+    std::vector<quant::QLLR> quantized_;  // fixed engines' staging frame
 
     /// Serializes stats_ between the (single) decoding thread's record()
     /// calls and concurrent convergence_snapshot() readers. Uncontended in
@@ -189,9 +218,9 @@ private:
     ConvergenceStats stats_;
 };
 
-/// Registry key: which builder constructs the engine. Schedule, rule,
-/// quantization and lane mode select behavior *within* a backend and travel
-/// in the EngineSpec handed to the builder; the algorithm family is part of
+/// Engine-table key: which built-in engine make_engine constructs.
+/// Schedule, rule, quantization and lane mode select behavior *within* a
+/// backend and travel in the EngineSpec; the algorithm family is part of
 /// the key because each family is a different decoder implementation.
 struct EngineKey {
     Algorithm algorithm = Algorithm::MinSum;
@@ -209,34 +238,25 @@ struct EngineKey {
 };
 
 /// "algorithm=<a> arithmetic=<ar> backend=<b>" — the one rendering every
-/// registry/spec diagnostic uses, so errors always name the full key.
+/// engine-table/spec diagnostic uses, so errors always name the full key.
 std::string to_string(const EngineKey& key);
 
-/// The registry key an EngineSpec selects.
+/// The engine-table key an EngineSpec selects.
 inline EngineKey engine_key(const EngineSpec& spec) {
     return EngineKey{spec.config.algorithm, spec.arith, spec.config.backend};
 }
 
-/// Builds one engine for a validated spec; the code must outlive the engine.
-using EngineBuilder =
-    std::function<std::unique_ptr<Engine>(const code::Dvbs2Code& code, const EngineSpec& spec)>;
-
-/// Registers (or replaces) the builder for `key`. The six in-tree engines
-/// (min-sum: float-scalar, fixed-scalar, fixed-simd; WBF: float-scalar,
-/// fixed-scalar; RHS-BP: float-scalar) are pre-registered; future backends
-/// (GPU, distributed) add themselves here.
-void register_engine(const EngineKey& key, EngineBuilder builder);
-
-/// True iff a builder is registered for `key`.
+/// True iff `key` is one of the six built-in engines (min-sum:
+/// float-scalar, fixed-scalar, fixed-simd; WBF: float-scalar, fixed-scalar;
+/// RHS-BP: float-scalar).
 bool engine_registered(const EngineKey& key);
 
-/// All currently registered keys, sorted by (algorithm, arithmetic,
-/// backend) — deterministic regardless of registration order.
+/// The built-in keys, sorted by (algorithm, arithmetic, backend).
 std::vector<EngineKey> registered_engines();
 
 /// The factory: validates `spec` (validate_engine_spec), looks up the
-/// builder for engine_key(spec) and builds the engine. Throws
-/// std::runtime_error on an invalid spec or an unregistered key; both
+/// built-in engine for engine_key(spec) and builds it. Throws
+/// std::runtime_error on an invalid spec or a key with no engine; both
 /// diagnostics name the algorithm along with the rest of the key.
 std::unique_ptr<Engine> make_engine(const code::Dvbs2Code& code, const EngineSpec& spec);
 

@@ -28,22 +28,14 @@
 //    would have read. Cross-block reads are safe because blocks (and the
 //    scalar head/tail) are processed in ascending FU order.
 //
-// Certified transformed schedules (analysis/ir/transform.hpp): zigzag-
-// forward, zigzag-map, and layered are lockstep-illegal as emitted — each
-// carries an m-length serial dependence chain through its check phase — but
-// every one holds a certified dependence-preserving rewrite that compacts
-// the independent variable phase into P-wide lockstep levels and
-// serializes the chain-bearing phase onto a single lane in program order.
-// This executor realizes exactly that transformed order: the vectorized
-// variable phase above plus a scalar chain sweep that is byte-for-byte the
-// MpDecoder<FixedArith> loop body (program order inside one lane *is* the
-// original order, which is why the transformed decode is bit-identical to
-// the scalar reference). The certificate's per-phase widths record the
-// honest parallelism; engine validation (core/engine.cpp) only admits
-// schedules whose rewrite passed the independent replay check.
+// Only the two lockstep-legal schedules run here (the dataflow IR's
+// classify_schedule verdict): zigzag-forward, zigzag-map and layered carry
+// an m-length serial dependence chain through the check phase, so the SIMD
+// engine decodes their single frames on the scalar reference and their
+// batches frame-per-lane (core/engine.cpp).
 #include "core/simd/simd_decoder.hpp"
 
-#include "analysis/ir/transform.hpp"
+#include "analysis/ir/analyses.hpp"
 
 #include <cstdint>
 #include <limits>
@@ -85,11 +77,10 @@ struct SimdFixedDecoder::Impl {
           lanes_(cfg.rule, spec, cfg.rule == CheckRule::Exact ? &table_ : nullptr,
                  cfg.normalization, cfg.offset) {
         const auto& cp = code.params();
-        DVBS2_REQUIRE(analysis::ir::group_parallel_supported(cfg.schedule),
+        const auto& cls = analysis::ir::classify_schedule(cfg.schedule);
+        DVBS2_REQUIRE(cls.group_parallel_legal,
                       std::string("SIMD group-parallel backend cannot run schedule=") +
-                          to_string(cfg.schedule) +
-                          ": the schedule is lockstep-illegal as emitted and carries no "
-                          "certified rewrite");
+                          to_string(cfg.schedule) + ": " + cls.group_parallel_obstruction);
         DVBS2_REQUIRE(cp.check_deg <= kMaxCheckDegree, "check degree exceeds kMaxCheckDegree");
         DVBS2_REQUIRE(cp.deg_hi <= kMaxInfoDegree && cp.deg_lo <= kMaxInfoDegree,
                       "information degree exceeds kMaxInfoDegree");
@@ -114,7 +105,6 @@ struct SimdFixedDecoder::Impl {
             DVBS2_REQUIRE(cp.q >= 1, "segmented schedule needs q >= 1");
             boundary_snapshot_.resize(static_cast<std::size_t>(cp.parallelism));
         }
-        if (cfg.schedule == Schedule::ZigzagMap) fwd_d_.resize(m);
         build_transposed_edges();
     }
 
@@ -199,12 +189,14 @@ struct SimdFixedDecoder::Impl {
         for (int it = 0; it < iters; ++it) iterate();
     }
 
-    /// One full iteration in the (possibly transformed) schedule order.
-    /// Layered folds the variable update into its check sweep, so it has no
-    /// separate variable phase.
     void iterate() {
-        if (cfg_.schedule != Schedule::Layered) variable_phase();
-        check_phase();
+        variable_phase();
+        begin_posterior();
+        if (cfg_.schedule == Schedule::TwoPhase)
+            check_phase_two_phase();
+        else
+            check_phase_zigzag_segmented();
+        finish_parity_posterior();
     }
 
     void load_channel(std::span<const QLLR> ch) {
@@ -220,7 +212,6 @@ struct SimdFixedDecoder::Impl {
         std::fill(v2c_.begin(), v2c_.end(), 0);
         std::fill(down_.begin(), down_.end(), 0);
         std::fill(up_.begin(), up_.end(), 0);
-        if (cfg_.schedule == Schedule::Layered) init_layered_totals();
     }
 
     // ------------------------------------------------------ variable phase
@@ -286,22 +277,6 @@ struct SimdFixedDecoder::Impl {
 
     // --------------------------------------------------------- check phase
 
-    void check_phase() {
-        if (cfg_.schedule == Schedule::Layered) {
-            check_phase_layered();  // posteriors ARE the running totals
-            return;
-        }
-        begin_posterior();
-        switch (cfg_.schedule) {
-            case Schedule::TwoPhase: check_phase_two_phase(); break;
-            case Schedule::ZigzagForward: check_phase_zigzag_forward(); break;
-            case Schedule::ZigzagSegmented: check_phase_zigzag_segmented(); break;
-            case Schedule::ZigzagMap: check_phase_map(); break;
-            case Schedule::Layered: break;  // handled above
-        }
-        finish_parity_posterior();
-    }
-
     /// Finalizes and scatters a block's information-edge outputs: lane l's
     /// edge for slot t is e_base + l·e_stride + t. Scalar stores (the write
     /// pattern is strided) on top of vectorized finalize; the posterior
@@ -361,7 +336,7 @@ struct SimdFixedDecoder::Impl {
         for (int f = 1; f < P; ++f)
             boundary_snapshot_[static_cast<std::size_t>(f)] =
                 down_[static_cast<std::size_t>(f * q - 1)];
-        for (int j = 0; j < q; ++j) scalar_cn_zigzag(j, /*segmented=*/true);
+        for (int j = 0; j < q; ++j) scalar_cn_segmented(j);
 
         QLLR iota[W];
         for (int l = 0; l < W; ++l) iota[l] = l * q;
@@ -408,129 +383,7 @@ struct SimdFixedDecoder::Impl {
                 }
             }
         }
-        for (int j = f0 * q; j < m; ++j) scalar_cn_zigzag(j, /*segmented=*/true);
-    }
-
-    // --------------------------------- certified transformed-order paths
-    //
-    // The rewrite certificates for these schedules serialize the chain-
-    // bearing check phase onto one lane in program order (see file header),
-    // so the executor's chain sweeps below ARE the certified transformed
-    // order — and byte-for-byte the MpDecoder<FixedArith> reference bodies,
-    // which is what makes the decode bit-identical to the scalar engine.
-
-    /// Plain forward zigzag: one serial chain over all m CNs, each reading
-    /// the fresh down_[j−1] its predecessor just wrote.
-    void check_phase_zigzag_forward() {
-        const int m = code_->params().m();
-        for (int j = 0; j < m; ++j) scalar_cn_zigzag(j, /*segmented=*/false);
-    }
-
-    /// Zigzag BCJR/MAP: forward recursion storing fwd_d_, then a backward
-    /// sweep emitting the extrinsics in descending CN order.
-    void check_phase_map() {
-        const auto& cp = code_->params();
-        const int m = cp.m();
-        const int kc = code_->check_in_degree();
-        QLLR ins[kMaxCheckDegree];
-        QLLR outs[kMaxCheckDegree];
-        QLLR pre[kMaxCheckDegree];
-        QLLR suf[kMaxCheckDegree];
-        // Forward sweep: fresh d_j along the chain (right input from the
-        // previous iteration's backward messages).
-        for (int j = 0; j < m; ++j) {
-            const long long base = static_cast<long long>(j) * kc;
-            int d = 0;
-            for (int t = 0; t < kc; ++t) ins[d++] = v2c_[static_cast<std::size_t>(base + t)];
-            if (j > 0)
-                ins[d++] = arith_.narrow(ch_p_[static_cast<std::size_t>(j - 1)] +
-                                         fwd_d_[static_cast<std::size_t>(j - 1)]);
-            const int right_pos = d;
-            const QLLR chp = ch_p_[static_cast<std::size_t>(j)];
-            ins[d++] = j < m - 1 ? arith_.narrow(chp + up_[static_cast<std::size_t>(j)])
-                                 : arith_.narrow(chp);
-            compute_extrinsics(arith_, ins, d, outs, pre, suf);
-            fwd_d_[static_cast<std::size_t>(j)] = arith_.finalize(outs[right_pos]);
-        }
-        // Backward sweep: fresh u_j, fresh outputs to the information nodes.
-        for (int j = m - 1; j >= 0; --j) {
-            const long long base = static_cast<long long>(j) * kc;
-            int d = 0;
-            for (int t = 0; t < kc; ++t) ins[d++] = v2c_[static_cast<std::size_t>(base + t)];
-            int left_pos = -1;
-            if (j > 0) {
-                left_pos = d;
-                ins[d++] = arith_.narrow(ch_p_[static_cast<std::size_t>(j - 1)] +
-                                         fwd_d_[static_cast<std::size_t>(j - 1)]);
-            }
-            const QLLR chp = ch_p_[static_cast<std::size_t>(j)];
-            ins[d++] = j < m - 1 ? arith_.narrow(chp + up_[static_cast<std::size_t>(j)])
-                                 : arith_.narrow(chp);
-            compute_extrinsics(arith_, ins, d, outs, pre, suf);
-            scatter_scalar(base, outs, kc);
-            if (j > 0) up_[static_cast<std::size_t>(j - 1)] = arith_.finalize(outs[left_pos]);
-        }
-        for (int j = 0; j < m; ++j)
-            down_[static_cast<std::size_t>(j)] = fwd_d_[static_cast<std::size_t>(j)];
-    }
-
-    /// Layered running posterior totals, (re)seeded from the channel at
-    /// decode start (mirror of MpDecoder::init_layered_totals; FixedArith's
-    /// Wide is QLLR, so the totals match the reference bit-for-bit).
-    void init_layered_totals() {
-        const auto& cp = code_->params();
-        for (int v = 0; v < cp.k; ++v)
-            post_in_[static_cast<std::size_t>(v)] = ch_in_[static_cast<std::size_t>(v)];
-        for (int j = 0; j < cp.m(); ++j)
-            post_p_[static_cast<std::size_t>(j)] = ch_p_[static_cast<std::size_t>(j)];
-    }
-
-    /// Row-layered sweep: each CN reads fresh variable-to-check messages as
-    /// (running total − its own previous contribution), then folds the new
-    /// extrinsics back into the totals immediately.
-    void check_phase_layered() {
-        const auto& cp = code_->params();
-        const int m = cp.m();
-        const int kc = code_->check_in_degree();
-        QLLR ins[kMaxCheckDegree];
-        QLLR outs[kMaxCheckDegree];
-        QLLR pre[kMaxCheckDegree];
-        QLLR suf[kMaxCheckDegree];
-        for (int j = 0; j < m; ++j) {
-            const long long base = static_cast<long long>(j) * kc;
-            int d = 0;
-            for (int t = 0; t < kc; ++t) {
-                const auto e = static_cast<std::size_t>(base + t);
-                const int v = code_->edge_variable(static_cast<long long>(e));
-                ins[d++] = arith_.narrow(post_in_[static_cast<std::size_t>(v)] - c2v_[e]);
-            }
-            int left_pos = -1;
-            if (j > 0) {
-                left_pos = d;
-                ins[d++] = arith_.narrow(post_p_[static_cast<std::size_t>(j - 1)] -
-                                         up_[static_cast<std::size_t>(j - 1)]);
-            }
-            const int right_pos = d;
-            ins[d++] = arith_.narrow(post_p_[static_cast<std::size_t>(j)] -
-                                     down_[static_cast<std::size_t>(j)]);
-            compute_extrinsics(arith_, ins, d, outs, pre, suf);
-            for (int t = 0; t < kc; ++t) {
-                const auto e = static_cast<std::size_t>(base + t);
-                const int v = code_->edge_variable(static_cast<long long>(e));
-                const QLLR fresh = arith_.finalize(outs[t]);
-                post_in_[static_cast<std::size_t>(v)] += fresh - c2v_[e];
-                c2v_[e] = fresh;
-            }
-            if (j > 0) {
-                const QLLR fresh = arith_.finalize(outs[left_pos]);
-                post_p_[static_cast<std::size_t>(j - 1)] +=
-                    fresh - up_[static_cast<std::size_t>(j - 1)];
-                up_[static_cast<std::size_t>(j - 1)] = fresh;
-            }
-            const QLLR fresh_d = arith_.finalize(outs[right_pos]);
-            post_p_[static_cast<std::size_t>(j)] += fresh_d - down_[static_cast<std::size_t>(j)];
-            down_[static_cast<std::size_t>(j)] = fresh_d;
-        }
+        for (int j = f0 * q; j < m; ++j) scalar_cn_segmented(j);
     }
 
     // Scalar reference paths: byte-for-byte the MpDecoder<FixedArith> loop
@@ -555,7 +408,7 @@ struct SimdFixedDecoder::Impl {
         if (j > 0) up_[static_cast<std::size_t>(j - 1)] = arith_.finalize(outs[left_pos]);
     }
 
-    void scalar_cn_zigzag(int j, bool segmented) {
+    void scalar_cn_segmented(int j) {
         const auto& cp = code_->params();
         const int m = cp.m();
         const int q = cp.q;
@@ -569,7 +422,7 @@ struct SimdFixedDecoder::Impl {
         for (int t = 0; t < kc; ++t) ins[d++] = v2c_[static_cast<std::size_t>(base + t)];
         int left_pos = -1;
         if (j > 0) {
-            const bool at_boundary = segmented && (j % q == 0);
+            const bool at_boundary = j % q == 0;
             const QLLR d_prev = at_boundary ? boundary_snapshot_[static_cast<std::size_t>(j / q)]
                                             : down_[static_cast<std::size_t>(j - 1)];
             left_pos = d;
@@ -652,7 +505,6 @@ struct SimdFixedDecoder::Impl {
     std::vector<QLLR> c2v_, v2c_;
     std::vector<QLLR> down_, up_;
     std::vector<QLLR> pn_a_, pn_c_;
-    std::vector<QLLR> fwd_d_;  // MAP forward storage
     std::vector<QLLR> boundary_snapshot_;
     std::vector<QLLR> ch_in_, ch_p_;
     std::vector<QLLR> post_in_, post_p_;

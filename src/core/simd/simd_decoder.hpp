@@ -11,18 +11,16 @@
 // is unchanged — only independent check nodes are spread across lanes — so
 // every message is bit-exact with the scalar MpDecoder<FixedArith>.
 //
-// Supported schedules: all five. TwoPhase (all check nodes independent →
-// vector blocks of consecutive CNs) and ZigzagSegmented (lane = functional
-// unit sweeping its q-CN segment; segment-boundary values are snapshotted
+// Supported schedules: the two lockstep-legal ones (the dataflow IR's
+// classify_schedule verdict). TwoPhase: all check nodes independent →
+// vector blocks of consecutive CNs. ZigzagSegmented: lane = functional unit
+// sweeping its q-CN segment; segment-boundary values are snapshotted
 // exactly like the scalar reference's boundary_snapshot_, plus a per-block
 // up-boundary snapshot that preserves the previous-iteration read the
-// sequential sweep performs naturally) are natively lockstep-legal.
-// ZigzagForward, ZigzagMap, and Layered run in the certified transformed
-// order of analysis/ir/transform.hpp: the independent variable phase is
-// compacted into P-wide vector levels while the serially dependent check
-// chain executes on one lane in program order (the certificate's per-phase
-// widths record the honest parallelism; construction throws for any
-// schedule without a native or certified lockstep mapping).
+// sequential sweep performs naturally. ZigzagForward, ZigzagMap and Layered
+// carry a serial check chain and have no group-parallel mapping; the SIMD
+// engine (core/engine.hpp) runs them frame-per-lane, or on the scalar
+// reference for single frames under SimdLaneMode::Auto.
 //
 // This header is intrinsic-free; all target-specific code lives in
 // simd_decoder.cpp, the only TU built with SIMD compiler flags.
@@ -52,10 +50,10 @@ int simd_backend_width() noexcept;
 /// bit-exactness tests and benches that compare message state.
 class SimdFixedDecoder {
 public:
-    /// The code object must outlive the decoder. Throws unless the schedule
-    /// is natively lockstep-legal or carries a certified rewrite
-    /// (analysis::ir::group_parallel_supported) — true for all five shipped
-    /// schedules.
+    /// The code object must outlive the decoder. Throws, naming the IR
+    /// obstruction, unless the schedule is lockstep-legal
+    /// (analysis::ir::classify_schedule(schedule).group_parallel_legal:
+    /// TwoPhase and ZigzagSegmented).
     SimdFixedDecoder(const code::Dvbs2Code& code, const DecoderConfig& cfg,
                      const quant::QuantSpec& spec = quant::kQuant6);
     ~SimdFixedDecoder();

@@ -47,22 +47,24 @@ enum class DecoderBackend {
     /// schedule and the float arithmetic.
     Scalar,
     /// SIMD engine (core/simd), bit-exact with Scalar and fixed-point only.
-    /// Single frames run group-parallel (one lane = one FU per Eq. 2 —
-    /// natively for TwoPhase/ZigzagSegmented, via certified schedule
-    /// rewrites for the rest; see analysis/ir/transform.hpp); batches run
-    /// frame-parallel (one lane = one frame; every schedule). See
-    /// SimdLaneMode.
+    /// Batches run frame-parallel (one lane = one frame; every schedule);
+    /// single frames run group-parallel (one lane = one FU per Eq. 2) on
+    /// TwoPhase and ZigzagSegmented, the schedules the dataflow IR proves
+    /// lockstep-legal. See SimdLaneMode.
     Simd,
 };
 
 /// Lane mapping of the SIMD backend (ignored by DecoderBackend::Scalar).
 enum class SimdLaneMode {
-    /// Group-parallel for single-frame decodes, frame-per-lane for batches.
+    /// Frame-per-lane for batches. Single frames run group-parallel on
+    /// the lockstep-legal schedules and on the scalar reference decoder on
+    /// the serial-chain ones (ZigzagForward, ZigzagMap, Layered), where one
+    /// lane walking the chain is no faster than scalar.
     Auto,
     /// Lane = functional unit for every call (batches decode frame by
-    /// frame). Requires a schedule that is natively lockstep-legal or holds
-    /// a certified rewrite (all five shipped schedules qualify; see
-    /// analysis/ir/transform.hpp).
+    /// frame). Requires a lockstep-legal schedule (TwoPhase,
+    /// ZigzagSegmented; analysis::ir::classify_schedule); validation rejects
+    /// the others naming the IR's obstruction.
     GroupParallel,
     /// Lane = frame for every call (a single-frame decode occupies one lane
     /// of a batch block). Works with every schedule regardless of lockstep
@@ -76,15 +78,15 @@ enum class Arithmetic {
     Fixed,  ///< quantized integer LLRs — the hardware datapath model
 };
 
-/// Decoding algorithm family of an engine. The registry (core/engine.hpp)
-/// is keyed by (Algorithm, Arithmetic, DecoderBackend); the analysis layer
-/// derives which schedules and lane modes each family supports
-/// (analysis/ir/analyses.hpp, classify_algorithm) instead of hardcoding the
-/// combinations.
+/// Decoding algorithm family of an engine. The engine table
+/// (core/engine.hpp) is keyed by (Algorithm, Arithmetic, DecoderBackend);
+/// the analysis layer derives which schedules and lane modes each family
+/// supports (analysis/ir/analyses.hpp, classify_algorithm) instead of
+/// hardcoding the combinations.
 enum class Algorithm {
     /// The message-passing family of core/mp_decoder.hpp (paper Eq. 4/5):
     /// exact boxplus and the min-sum variants, selected by CheckRule.
-    /// Supports all five schedules and both SIMD lane mappings.
+    /// Supports all five schedules and the SIMD backend.
     MinSum,
     /// Improved weighted bit flipping (PAPERS.md, "An Improved WBF Algorithm
     /// for Higher-Speed Decoding of LDPC Codes"): hard-decision flipping
@@ -146,10 +148,10 @@ struct DecodeResult {
 /// Aggregate convergence observables over any number of decoded frames: an
 /// iterations-to-finish histogram plus running counts. core::Engine records
 /// one entry per frame structurally in its public decode entry points (so
-/// every backend — including externally registered ones — surfaces the same
-/// observable), and the Monte-Carlo harness (comm/) folds per-frame entries
-/// into its deterministic batch-prefix reduction, making the histogram
-/// thread-count invariant wherever the error tallies are.
+/// every backend surfaces the same observable), and the Monte-Carlo harness
+/// (comm/) folds per-frame entries into its deterministic batch-prefix
+/// reduction, making the histogram thread-count invariant wherever the
+/// error tallies are.
 struct ConvergenceStats {
     /// histogram[i] = frames that finished after exactly i iterations
     /// (i = 0 covers a zero-iteration budget).

@@ -42,7 +42,8 @@ struct ServiceMetrics {
     std::uint64_t enqueued = 0;   ///< frames accepted into the queue
     std::uint64_t dropped = 0;    ///< frames rejected by admission control
     std::uint64_t decoded = 0;    ///< frames decoded and delivered
-    std::uint64_t decode_failures = 0;  ///< batches whose decode threw (bug guard)
+    std::uint64_t decode_failures = 0;    ///< batches whose decode threw (bug guard)
+    std::uint64_t callback_failures = 0;  ///< result callbacks that threw (counted, not fatal)
 
     // --- queue ---
     std::uint64_t queue_depth = 0;       ///< pending frames right now

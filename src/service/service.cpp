@@ -140,6 +140,7 @@ struct DecodeService::Impl {
     mutable std::mutex metrics_mu_;
     std::uint64_t decoded_ = 0;
     std::uint64_t decode_failures_ = 0;
+    std::uint64_t callback_failures_ = 0;
     std::uint64_t batches_ = 0;
     std::uint64_t batch_frames_ = 0;
     std::uint64_t batch_slots_ = 0;
@@ -238,7 +239,8 @@ struct DecodeService::Impl {
     }
 
     /// Lazily builds this worker's engine for the class (one engine per
-    /// (worker, class): engines are single-writer, never shared).
+    /// (worker, class): engines are single-writer, never shared). Called
+    /// inside the decode try, so a build failure counts as a decode failure.
     WorkerClass& worker_class(Worker& w, ClassId id, const ClassState& cs) {
         auto it = w.per_class.find(id);
         if (it == w.per_class.end()) {
@@ -260,7 +262,15 @@ struct DecodeService::Impl {
             const std::lock_guard<std::mutex> lock(metrics_mu_);
             latency_.record_seconds(lat);
         }
-        if (st.fn) st.fn(StreamResult{st.id, seq, r, lat});
+        if (!st.fn) return;
+        try {
+            st.fn(StreamResult{st.id, seq, r, lat});
+        } catch (...) {
+            // User code must not take the worker (and the process) down:
+            // count the failure and keep delivering the stream in order.
+            const std::lock_guard<std::mutex> lock(metrics_mu_);
+            ++callback_failures_;
+        }
     }
 
     /// Delivers one decoded frame, re-ordering through the per-stream
@@ -292,33 +302,34 @@ struct DecodeService::Impl {
         Claim c;
         while (claim_batch(w, c)) {
             ClassState& cs = *c.cls;
-            WorkerClass& wc = worker_class(w, c.cls_id, cs);
             const std::size_t b = w.claimed.size();
             const std::size_t n = cs.n;
             w.staging.resize(b * n);
             for (std::size_t i = 0; i < b; ++i)
                 std::memcpy(w.staging.data() + i * n, w.claimed[i]->llr.data(),
                             n * sizeof(double));
-            wc.results.resize(b);
+            WorkerClass* wc = nullptr;
             bool failed = false;
             try {
-                wc.engine->decode_batch(std::span<const double>(w.staging.data(), b * n),
-                                        std::span<core::DecodeResult>(wc.results.data(), b));
+                wc = &worker_class(w, c.cls_id, cs);
+                wc->results.resize(b);
+                wc->engine->decode_batch(std::span<const double>(w.staging.data(), b * n),
+                                         std::span<core::DecodeResult>(wc->results.data(), b));
             } catch (...) {
                 // Inputs are validated at submit() and specs at add_class(),
                 // so this is a backend bug. Deliver explicit failures (empty
                 // codeword, converged=false) instead of stalling the streams
                 // or killing the process, and count it for the operator.
                 failed = true;
-                for (std::size_t i = 0; i < b; ++i) wc.results[i] = core::DecodeResult{};
             }
+            const core::DecodeResult failure{};
             for (std::size_t i = 0; i < b; ++i) {
                 StreamState* st = nullptr;
                 {
                     const std::lock_guard<std::mutex> lock(mu_);
                     st = streams_[static_cast<std::size_t>(w.claimed[i]->stream)].get();
                 }
-                deliver(*st, *w.claimed[i], wc.results[i]);
+                deliver(*st, *w.claimed[i], failed ? failure : wc->results[i]);
             }
             {
                 const std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -367,15 +378,14 @@ DecodeService::~DecodeService() { stop(); }
 
 ClassId DecodeService::add_class(const code::Dvbs2Code& code, core::EngineSpec spec) {
     core::validate_engine_spec(spec);
-    // Build one prototype engine now: an unregistered backend or a builder
+    // Build one prototype engine now: a key with no engine or a build
     // failure surfaces here, on the registering thread, with its own
     // diagnostic — and the prototype tells us the class geometry.
     const auto proto = core::make_engine(code, spec);
     auto cs = std::make_unique<detail::ClassState>();
     cs->code = &code;
     cs->spec = spec;
-    cs->n = proto->frame_length() > 0 ? proto->frame_length()
-                                      : static_cast<std::size_t>(code.n());
+    cs->n = proto->frame_length();
     cs->preferred = static_cast<std::size_t>(std::max(1, proto->preferred_batch()));
     const std::lock_guard<std::mutex> lock(impl_->mu_);
     impl_->classes_.push_back(std::move(cs));
@@ -498,6 +508,22 @@ ServiceMetrics DecodeService::metrics() const {
     const Impl& im = *impl_;
     ServiceMetrics m;
     std::vector<detail::StreamState*> streams;
+    // Completion counters before admission counters: a frame is enqueued
+    // before it is decoded and both only grow, so this order keeps
+    // decoded <= enqueued in every snapshot taken under traffic.
+    {
+        const std::lock_guard<std::mutex> lock(im.metrics_mu_);
+        m.decoded = im.decoded_;
+        m.decode_failures = im.decode_failures_;
+        m.callback_failures = im.callback_failures_;
+        m.batches = im.batches_;
+        m.batch_frames = im.batch_frames_;
+        m.batch_slots = im.batch_slots_;
+        m.full_batches = im.full_batches_;
+        m.linger_batches = im.linger_batches_;
+        m.batch_fill_deciles = im.fill_deciles_;
+        m.latency = im.latency_;
+    }
     {
         const std::lock_guard<std::mutex> lock(im.mu_);
         m.submitted = im.submitted_;
@@ -507,18 +533,6 @@ ServiceMetrics DecodeService::metrics() const {
         m.peak_queue_depth = im.peak_depth_;
         streams.reserve(im.streams_.size());
         for (const auto& st : im.streams_) streams.push_back(st.get());
-    }
-    {
-        const std::lock_guard<std::mutex> lock(im.metrics_mu_);
-        m.decoded = im.decoded_;
-        m.decode_failures = im.decode_failures_;
-        m.batches = im.batches_;
-        m.batch_frames = im.batch_frames_;
-        m.batch_slots = im.batch_slots_;
-        m.full_batches = im.full_batches_;
-        m.linger_batches = im.linger_batches_;
-        m.batch_fill_deciles = im.fill_deciles_;
-        m.latency = im.latency_;
     }
     for (detail::StreamState* st : streams) {
         const std::lock_guard<std::mutex> lock(st->mu);

@@ -47,7 +47,9 @@
 // but with Admission::Block a callback that blocks on a full queue can
 // stall its worker — use Admission::Reject (or dimension the queue) for
 // feedback traffic. Callbacks must not call drain(), stop() or block on
-// other streams' results.
+// other streams' results. A callback that throws is counted in
+// ServiceMetrics::callback_failures; the stream's later results are still
+// delivered, in order.
 #pragma once
 
 #include <chrono>

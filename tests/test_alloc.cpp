@@ -205,6 +205,14 @@ TEST(AllocFree, SimdGroupDecodeInto) {
                              "fixed-simd group-parallel");
 }
 
+TEST(AllocFree, SimdAutoSerialScheduleDecodeInto) {
+    // Serial-chain schedules have no group-parallel mapping: lane_mode=auto
+    // decodes their single frames on the scalar reference decoder.
+    expect_zero_alloc_single(make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd,
+                                       dd::Schedule::ZigzagForward),
+                             "fixed-simd auto zigzag-forward");
+}
+
 TEST(AllocFree, SimdFramePerLaneDecodeInto) {
     expect_zero_alloc_single(make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd,
                                        dd::Schedule::ZigzagForward,

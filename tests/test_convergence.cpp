@@ -189,8 +189,11 @@ TEST(ConvergenceStats, ResetZeroesCountsButKeepsStorage) {
 // hard/easy frames with early stopping decodes bit-identically — converged,
 // iterations, codeword, info bits — to the scalar reference, frame by
 // frame; and for the schedules the group-parallel mapping supports, so do
-// single-frame group-parallel decodes. The SIMD engines' ConvergenceStats
-// must then equal the scalar engine's too.
+// single-frame group-parallel decodes. The serial-chain schedules have no
+// group-parallel mapping: under lane_mode=auto their single frames run on
+// the scalar reference and their batches frame-per-lane, both again
+// bit-identical. The SIMD engines' ConvergenceStats must then equal the
+// scalar engine's too.
 
 class ConvergenceAllRates : public ::testing::TestWithParam<dc::CodeRate> {};
 
@@ -212,6 +215,17 @@ TEST_P(ConvergenceAllRates, EarlyTerminationBitIdenticalToScalar) {
         const auto spec =
             spec_of(dd::DecoderBackend::Simd, schedule, dd::SimdLaneMode::FramePerLane);
         const auto ref = scalar_reference(code, spec, block, frames);
+        // Structural telemetry: identical per-frame results must aggregate
+        // to identical histograms, whatever path recorded them.
+        dd::ConvergenceStats expect;
+        expect.reserve_iterations(spec.config.max_iterations);
+        for (const auto& r : ref) expect.record(r.iterations, r.converged);
+        const auto expect_same_stats = [&](const dd::Engine& eng, const std::string& ctx) {
+            EXPECT_EQ(eng.convergence().histogram, expect.histogram) << ctx;
+            EXPECT_EQ(eng.convergence().frames, expect.frames) << ctx;
+            EXPECT_EQ(eng.convergence().converged_frames, expect.converged_frames) << ctx;
+            EXPECT_EQ(eng.convergence().iteration_sum, expect.iteration_sum) << ctx;
+        };
 
         const auto batch_eng = dd::make_engine(code, spec);
         std::vector<dd::DecodeResult> got(frames);
@@ -220,14 +234,28 @@ TEST_P(ConvergenceAllRates, EarlyTerminationBitIdenticalToScalar) {
             expect_same_result(ref[f], got[f],
                                name_of(schedule) + " frame-per-lane frame " +
                                    std::to_string(f) + " rate " + dc::to_string(rate));
+        expect_same_stats(*batch_eng, name_of(schedule) + " frame-per-lane");
 
-        // Structural telemetry: identical per-frame results must aggregate
-        // to identical histograms, whatever path recorded them.
-        dd::ConvergenceStats expect;
-        for (const auto& r : ref) expect.record(r.iterations, r.converged);
-        EXPECT_EQ(batch_eng->convergence().histogram, expect.histogram)
-            << dd::to_string(schedule);
-        EXPECT_EQ(batch_eng->convergence().converged_frames, expect.converged_frames);
+        if (std::find(std::begin(kGroupSchedules), std::end(kGroupSchedules), schedule) !=
+            std::end(kGroupSchedules))
+            continue;
+        // Serial-chain schedule: lane_mode=auto decodes single frames on the
+        // scalar reference and batches frame-per-lane.
+        auto auto_spec = spec;
+        auto_spec.config.lane_mode = dd::SimdLaneMode::Auto;
+        const std::string ctx = name_of(schedule) + " auto, rate " + dc::to_string(rate);
+        const auto single = dd::make_engine(code, auto_spec);
+        dd::DecodeResult one;
+        for (std::size_t f = 0; f < frames; ++f) {
+            single->decode_into(std::span<const double>(block).subspan(f * n, n), one);
+            expect_same_result(ref[f], one, ctx + " decode_into frame " + std::to_string(f));
+        }
+        expect_same_stats(*single, ctx + " decode_into");
+        const auto batch = dd::make_engine(code, auto_spec);
+        batch->decode_batch(block, got);
+        for (std::size_t f = 0; f < frames; ++f)
+            expect_same_result(ref[f], got[f], ctx + " decode_batch frame " + std::to_string(f));
+        expect_same_stats(*batch, ctx + " decode_batch");
     }
 
     for (const dd::Schedule schedule : kGroupSchedules) {

@@ -1,15 +1,16 @@
-// Tests of the schedule dataflow IR (src/analysis/ir): trace compilation,
-// the derived SIMD-legality classification (pinned to the set the engine
-// registry previously hardcoded), exact liveness word counts including the
-// paper's Sec. 4 parity-storage halving, slot-stream def/use rules, and the
-// port-drain analysis pinned bit-equal to the dynamic conflict simulator
-// across rates and mappings.
+// Tests of the schedule dataflow IR (src/analysis/ir): trace compilation and
+// golden trace digests (golden_trace_pins.inc), the derived SIMD-legality
+// classification (pinned to the set the engine layer once hardcoded), exact
+// liveness word counts including the paper's Sec. 4 parity-storage halving,
+// slot-stream def/use rules, and the port-drain analysis pinned bit-equal
+// to the dynamic conflict simulator across rates and mappings.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/ir/analyses.hpp"
-#include "analysis/ir/transform.hpp"
 #include "analysis/lint_memory.hpp"
 #include "analysis/lint_schedule.hpp"
 #include "arch/anneal.hpp"
@@ -39,6 +40,57 @@ constexpr co::Schedule kAllSchedules[] = {
     co::Schedule::TwoPhase, co::Schedule::ZigzagForward, co::Schedule::ZigzagSegmented,
     co::Schedule::ZigzagMap, co::Schedule::Layered};
 
+// ---- FNV-1a 64 over the full trace content (shape + every event field) ----
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+void fnv_u64(std::uint64_t& h, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= kFnvPrime;
+    }
+}
+
+std::uint64_t trace_digest(const ir::Trace& tr) {
+    std::uint64_t h = kFnvOffset;
+    for (const std::string& name : tr.phase_names)
+        for (char c : name) fnv_u64(h, static_cast<unsigned char>(c));
+    for (std::int32_t sz : tr.space_size) fnv_u64(h, static_cast<std::uint64_t>(sz));
+    for (const ir::Event& ev : tr.events) {
+        fnv_u64(h, static_cast<std::uint64_t>(ev.access));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.space));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.index));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.iter));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.phase));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.unit));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.lane));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.step));
+    }
+    return h;
+}
+
+struct TracePin {
+    co::Schedule schedule;
+    std::uint64_t digest;
+};
+
+constexpr TracePin kTracePins[] = {
+#include "golden_trace_pins.inc"
+};
+
+/// C++ enumerator name, so a failed pin prints a paste-ready .inc row.
+const char* schedule_enum_name(co::Schedule s) {
+    switch (s) {
+        case co::Schedule::TwoPhase: return "TwoPhase";
+        case co::Schedule::ZigzagForward: return "ZigzagForward";
+        case co::Schedule::ZigzagSegmented: return "ZigzagSegmented";
+        case co::Schedule::ZigzagMap: return "ZigzagMap";
+        case co::Schedule::Layered: return "Layered";
+    }
+    return "?";
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ trace shape --
@@ -64,6 +116,21 @@ TEST(IrTrace, EverySpaceIndexStaysInsideItsDeclaredSize) {
     }
 }
 
+// ----------------------------------------------------- golden trace pins --
+
+TEST(IrGoldenTrace, CanonicalTraceDigestsArePinned) {
+    // Range certification (absint) and the schedule.dataflow.* lint consume
+    // these traces; a builder change that reorders or reshapes events must
+    // show up here, not as a silently different certificate or finding.
+    for (const TracePin& pin : kTracePins) {
+        const ir::Trace tr = ir::build_schedule_trace(pin.schedule, ir::TraceDims{});
+        const std::uint64_t got = trace_digest(tr);
+        EXPECT_EQ(got, pin.digest)
+            << "actual pin: {co::Schedule::" << schedule_enum_name(pin.schedule) << ", 0x"
+            << std::hex << got << "ULL},";
+    }
+}
+
 // -------------------------------------------- derived lockstep legality --
 
 TEST(IrClassify, LegalSetMatchesThePreviouslyHardcodedEngineSet) {
@@ -74,27 +141,31 @@ TEST(IrClassify, LegalSetMatchesThePreviouslyHardcodedEngineSet) {
         const bool expect_legal =
             s == co::Schedule::TwoPhase || s == co::Schedule::ZigzagSegmented;
         EXPECT_EQ(cls.group_parallel_legal, expect_legal) << co::to_string(s);
-        if (!expect_legal)
+        if (!expect_legal) {
             EXPECT_FALSE(cls.group_parallel_obstruction.empty()) << co::to_string(s);
+        }
         // Every schedule keeps all state frame-local.
         EXPECT_TRUE(cls.frame_per_lane_legal) << co::to_string(s);
     }
 }
 
 TEST(IrClassify, EngineRegistryConsultsTheDerivedClassification) {
-    // Since the certified schedule transformer, every schedule is admitted
-    // for the group-parallel mapping: natively legal ones via
-    // classify_schedule, the rest via a transform_schedule certificate.
+    // validate_engine_spec admits the group-parallel mapping exactly where
+    // classify_schedule says lockstep lanes are legal, and the frame-per-lane
+    // mapping wherever all state is frame-local (every schedule).
     for (co::Schedule s : kAllSchedules) {
         co::EngineSpec spec;
         spec.config.backend = co::DecoderBackend::Simd;
         spec.config.schedule = s;
         spec.config.lane_mode = co::SimdLaneMode::GroupParallel;
-        ASSERT_TRUE(ir::classify_schedule(s).group_parallel_legal ||
-                    ir::transform_schedule(s).certified)
-            << co::to_string(s);
-        EXPECT_NO_THROW(co::validate_engine_spec(spec)) << co::to_string(s);
+        if (ir::classify_schedule(s).group_parallel_legal) {
+            EXPECT_NO_THROW(co::validate_engine_spec(spec)) << co::to_string(s);
+        } else {
+            EXPECT_THROW(co::validate_engine_spec(spec), std::runtime_error)
+                << co::to_string(s);
+        }
         spec.config.lane_mode = co::SimdLaneMode::FramePerLane;
+        ASSERT_TRUE(ir::classify_schedule(s).frame_per_lane_legal) << co::to_string(s);
         EXPECT_NO_THROW(co::validate_engine_spec(spec)) << co::to_string(s);
     }
 }
@@ -112,7 +183,9 @@ TEST(IrClassify, AlgorithmScheduleSupportIsDerivedFromTraceShape) {
         const bool expect_legal = ir::classify_schedule(s).check_levels <= 1;
         EXPECT_EQ(expect_legal, s == co::Schedule::TwoPhase) << co::to_string(s);
         EXPECT_EQ(wbf.supports(s), expect_legal) << co::to_string(s);
-        if (!wbf.supports(s)) EXPECT_FALSE(wbf.obstruction(s).empty()) << co::to_string(s);
+        if (!wbf.supports(s)) {
+            EXPECT_FALSE(wbf.obstruction(s).empty()) << co::to_string(s);
+        }
     }
 
     // RHS-BP replaces messages, not the dependence structure: it inherits

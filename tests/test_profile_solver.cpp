@@ -3,12 +3,21 @@
 // and end-to-end decodability of derived codes.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "code/profile_solver.hpp"
 #include "code/tanner.hpp"
 #include "code/validate.hpp"
 #include "comm/modem.hpp"
 #include "core/decoder.hpp"
 #include "enc/encoder.hpp"
+
+namespace dvbs2::code {
+// gtest's default printer dumps the param's bytes, which include the label
+// string's heap pointer, so the listed test names changed from run to run.
+// Printing the label keeps them stable.
+void PrintTo(const XRateSpec& spec, std::ostream* os) { *os << spec.label; }
+}  // namespace dvbs2::code
 
 namespace dc = dvbs2::code;
 namespace dm = dvbs2::comm;

@@ -16,7 +16,9 @@
 //     the owning thread decodes (the regression: convergence() returned a
 //     reference into live counters, so a concurrent poller read torn stats);
 //   * metrics consistency — conservation laws between the admission,
-//     scheduler and delivery counters after drain.
+//     scheduler and delivery counters after drain;
+//   * throwing callbacks — counted in callback_failures, never fatal, and
+//     the stream's later results still arrive in order.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -350,6 +353,41 @@ TEST(Service, CallbackMayResubmitToItsOwnStream) {
     svc.drain();
     EXPECT_GE(hops.load(), 10);
     EXPECT_EQ(svc.metrics().ordering_violations, 0u);
+}
+
+TEST(Service, ThrowingCallbackIsCountedAndDeliveryContinuesInOrder) {
+    // Regression: a result callback that threw escaped the worker thread
+    // and ended the process in std::terminate. Now each throw is counted,
+    // the stream keeps receiving every later result exactly once and in
+    // order, a second stream is unaffected, and drain() returns.
+    ds::DecodeService svc(quick_config(2, 64, ds::Admission::Block));
+    const auto cls = svc.add_class(toy_code(), toy_spec(dd::DecoderBackend::Scalar));
+    constexpr std::uint64_t kFrames = 12;
+    // Each vector is written only by its stream's callbacks, which the
+    // service serializes under the stream's delivery lock; read after drain.
+    std::vector<std::uint64_t> throwing_seen, quiet_seen;
+    const auto throwing = svc.open_stream(cls, [&](const ds::StreamResult& r) {
+        throwing_seen.push_back(r.seq);
+        if (r.seq % 2 == 1) throw std::runtime_error("callback failure");
+    });
+    const auto quiet =
+        svc.open_stream(cls, [&](const ds::StreamResult& r) { quiet_seen.push_back(r.seq); });
+    std::vector<double> frame(svc.class_frame_length(cls), 2.0);
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+        ASSERT_EQ(svc.submit(throwing, frame), ds::SubmitStatus::Accepted);
+        ASSERT_EQ(svc.submit(quiet, frame), ds::SubmitStatus::Accepted);
+    }
+    svc.drain();
+
+    std::vector<std::uint64_t> in_order(kFrames);
+    for (std::uint64_t i = 0; i < kFrames; ++i) in_order[i] = i;
+    EXPECT_EQ(throwing_seen, in_order);
+    EXPECT_EQ(quiet_seen, in_order);
+    const auto m = svc.metrics();
+    EXPECT_EQ(m.callback_failures, kFrames / 2);
+    EXPECT_EQ(m.decoded, 2 * kFrames);
+    EXPECT_EQ(m.decode_failures, 0u);
+    EXPECT_EQ(m.ordering_violations, 0u);
 }
 
 TEST(Service, ConfigValidationRejectsZeroCapacityAndNegativeLinger) {

@@ -30,13 +30,15 @@ using dvbs2::util::BitVec;
 
 namespace {
 
-/// Every schedule now has a group-parallel backend: TwoPhase and
-/// ZigzagSegmented natively, the serial-chain schedules via the certified
-/// transform (src/analysis/ir/transform.hpp) executed as a vectorized
-/// variable phase plus a scalar chain sweep.
 constexpr dd::Schedule kAllSchedules[] = {dd::Schedule::TwoPhase, dd::Schedule::ZigzagForward,
                                           dd::Schedule::ZigzagSegmented, dd::Schedule::ZigzagMap,
                                           dd::Schedule::Layered};
+
+/// The schedules SimdFixedDecoder runs: the lockstep-legal ones. The
+/// serial-chain schedules reach the SIMD backend through the engine only
+/// (scalar single frames under lane_mode=auto, frame-per-lane batches).
+constexpr dd::Schedule kGroupSchedules[] = {dd::Schedule::TwoPhase,
+                                            dd::Schedule::ZigzagSegmented};
 
 const dc::Dvbs2Code& toy_code() {
     // p = 12 gives one full AVX2 block of 8 lanes plus a 4-lane scalar tail
@@ -146,7 +148,7 @@ class SimdRateBitExactTest : public ::testing::TestWithParam<dc::CodeRate> {};
 
 TEST_P(SimdRateBitExactTest, MessagesMatchScalarAfter1And10Iterations) {
     const dc::Dvbs2Code code(dc::standard_params(GetParam()));
-    for (const dd::Schedule schedule : kAllSchedules) {
+    for (const dd::Schedule schedule : kGroupSchedules) {
         for (const dq::QuantSpec& spec : {dq::kQuant6, dq::kQuant5}) {
             dd::DecoderConfig cfg;
             cfg.schedule = schedule;
@@ -180,7 +182,7 @@ class SimdRuleBitExactTest : public ::testing::TestWithParam<dd::CheckRule> {};
 
 TEST_P(SimdRuleBitExactTest, MessagesMatchScalarOnFullSizeCode) {
     const dc::Dvbs2Code code(dc::standard_params(dc::CodeRate::R1_2));
-    for (const dd::Schedule schedule : kAllSchedules) {
+    for (const dd::Schedule schedule : kGroupSchedules) {
         dd::DecoderConfig cfg;
         cfg.schedule = schedule;
         cfg.rule = GetParam();
@@ -204,6 +206,11 @@ INSTANTIATE_TEST_SUITE_P(AllRules, SimdRuleBitExactTest,
                          });
 
 // ------------------------------------- decode-level equality (toy, tails)
+//
+// Through the SIMD engine under lane_mode=auto, which decodes a single
+// frame group-parallel on the lockstep-legal schedules and on the scalar
+// reference on the serial-chain ones: results and iteration traces must
+// match the scalar decoder on every schedule.
 
 class SimdDecodeEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<dd::Schedule, bool>> {};
@@ -223,14 +230,16 @@ TEST_P(SimdDecodeEquivalenceTest, DecodeResultsAndTracesMatchScalar) {
         for (std::size_t i = 0; i < llr.size(); ++i) q[i] = dq::quantize(llr[i], dq::kQuant6);
 
         auto scalar = make_scalar(toy_code(), cfg, dq::kQuant6, &table);
-        dd::SimdFixedDecoder simd(toy_code(), cfg, dq::kQuant6);
+        dd::DecoderConfig simd_cfg = cfg;
+        simd_cfg.backend = dd::DecoderBackend::Simd;  // lane_mode=auto
+        dd::FixedDecoder simd(toy_code(), simd_cfg, dq::kQuant6);
 
         std::vector<dd::IterationTrace> ts, tv;
         scalar.set_observer([&](const dd::IterationTrace& t) { ts.push_back(t); });
         simd.set_observer([&](const dd::IterationTrace& t) { tv.push_back(t); });
 
         const auto rs = scalar.decode_values(q);
-        const auto rv = simd.decode_values(q);
+        const auto rv = simd.decode_raw(q);
         const std::string context =
             std::string(dd::to_string(schedule)) + "/seed" + std::to_string(seed);
         expect_results_equal(rs, rv, context);
@@ -287,12 +296,25 @@ TEST(SimdDispatch, UnsupportedConfigurationsThrow) {
     cfg.schedule = dd::Schedule::TwoPhase;
     EXPECT_THROW(dd::Decoder(toy_code(), cfg), std::runtime_error);
 
-    // Every schedule has a group-parallel mapping now — natively or via a
-    // certified transform — so all five construct.
+    // lane_mode=auto runs every schedule; group-parallel lanes and the
+    // group decoder itself only the lockstep-legal ones.
     for (const dd::Schedule s : kAllSchedules) {
         cfg.schedule = s;
+        cfg.lane_mode = dd::SimdLaneMode::Auto;
         EXPECT_NO_THROW(dd::FixedDecoder(toy_code(), cfg, dq::kQuant6)) << dd::to_string(s);
+        cfg.lane_mode = dd::SimdLaneMode::GroupParallel;
+        const bool legal = s == dd::Schedule::TwoPhase || s == dd::Schedule::ZigzagSegmented;
+        if (legal) {
+            EXPECT_NO_THROW(dd::FixedDecoder(toy_code(), cfg, dq::kQuant6)) << dd::to_string(s);
+            EXPECT_NO_THROW(dd::SimdFixedDecoder(toy_code(), cfg)) << dd::to_string(s);
+        } else {
+            EXPECT_THROW(dd::FixedDecoder(toy_code(), cfg, dq::kQuant6), std::runtime_error)
+                << dd::to_string(s);
+            EXPECT_THROW(dd::SimdFixedDecoder(toy_code(), cfg), std::runtime_error)
+                << dd::to_string(s);
+        }
     }
+    cfg.lane_mode = dd::SimdLaneMode::Auto;
 
     // Per-CN input orders are a scalar-engine feature.
     cfg.schedule = dd::Schedule::TwoPhase;

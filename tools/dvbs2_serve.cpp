@@ -134,6 +134,7 @@ int main(int argc, char** argv) {
         t.add_row({"ordering violations",
                    util::TextTable::num((long long)(m.ordering_violations + rep.ordering_violations))});
         t.add_row({"decode failures", util::TextTable::num((long long)m.decode_failures)});
+        t.add_row({"callback failures", util::TextTable::num((long long)m.callback_failures)});
         t.add_row({"peak queue depth", util::TextTable::num((long long)m.peak_queue_depth)});
         t.add_row({"mean batch fill", util::TextTable::num(m.mean_batch_fill(), 3)});
         t.add_row({"latency p50 / p99 (ms)",
