@@ -16,7 +16,7 @@
 
 using namespace dvbs2;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"ebn0", "frames", "rate"});
     const double ebn0 = args.get_double("ebn0", 1.3);
     const auto frames = static_cast<std::uint64_t>(args.get_int("frames", 20));
@@ -60,4 +60,7 @@ int main(int argc, char** argv) {
     std::cout << (ok ? "Ablation PASS: exact rule is at least as good as plain min-sum\n"
                      : "Ablation FAIL\n");
     return ok ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_ablation_check_rules: " << e.what() << "\n";
+    return 2;
 }

@@ -22,7 +22,7 @@
 
 using namespace dvbs2;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"frames", "ebn0"});
     const auto frames = static_cast<std::uint64_t>(args.get_int("frames", 3000));
     const double ebn0 = args.get_double("ebn0", 5.0);
@@ -81,4 +81,7 @@ int main(int argc, char** argv) {
                          "the generator removes them at every scale\n"
                        : "Girth ablation FAIL\n");
     return pass ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_ablation_girth: " << e.what() << "\n";
+    return 2;
 }

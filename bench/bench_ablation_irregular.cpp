@@ -22,7 +22,7 @@
 
 using namespace dvbs2;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"frames", "ebn0"});
     const auto frames = static_cast<std::uint64_t>(args.get_int("frames", 10));
     const double ebn0 = args.get_double("ebn0", 1.2);
@@ -72,4 +72,7 @@ int main(int argc, char** argv) {
     std::cout << (pass ? "Irregular PASS: the irregular profile decodes where regular fails\n"
                        : "Irregular FAIL\n");
     return pass ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_ablation_irregular: " << e.what() << "\n";
+    return 2;
 }

@@ -78,7 +78,7 @@ bool same_tallies(const comm::BerPoint& a, const comm::BerPoint& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"threads", "mc-frames", "mc-iters"});
     bench::banner("Baseline / Sec. 1", "fully parallel vs. partly parallel realization");
 
@@ -175,4 +175,7 @@ int main(int argc, char** argv) {
                          "software engine is thread-count invariant\n"
                        : "Baseline FAIL\n");
     return pass ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_baseline_parallel: " << e.what() << "\n";
+    return 2;
 }

@@ -20,7 +20,7 @@
 
 using namespace dvbs2;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"rate", "ebn0", "frames", "cap"});
     const auto rate = bench::parse_rate(args.get("rate", "1/2"));
     const double ebn0 = args.get_double("ebn0", 1.2);
@@ -91,4 +91,7 @@ int main(int argc, char** argv) {
     std::cout << (pass ? "E4 PASS: optimized update converges faster with half the PN storage\n"
                        : "E4 FAIL: no speedup measured\n");
     return pass ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_fig2_schedules: " << e.what() << "\n";
+    return 2;
 }

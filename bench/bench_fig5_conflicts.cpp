@@ -15,7 +15,7 @@
 
 using namespace dvbs2;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"sa-iters"});
     const int sa_iters = static_cast<int>(args.get_int("sa-iters", 3000));
     bench::banner("E9 / Fig. 5", "RAM partition conflicts and SA buffer minimization");
@@ -48,4 +48,7 @@ int main(int argc, char** argv) {
                       ? "E9 PASS: annealing never regressed; worst-case buffer is small\n"
                       : "E9 FAIL\n");
     return never_worse && worst_after <= 64 ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_fig5_conflicts: " << e.what() << "\n";
+    return 2;
 }

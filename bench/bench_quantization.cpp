@@ -26,7 +26,7 @@
 
 using namespace dvbs2;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"rate", "target", "frames", "step", "start", "threads"});
     const auto rate = bench::parse_rate(args.get("rate", "1/2"));
     const double target = args.get_double("target", 1e-4);
@@ -106,4 +106,7 @@ int main(int argc, char** argv) {
     std::cout << (pass ? "E7 PASS: quantization-loss ordering and magnitude match the paper\n"
                        : "E7 FAIL\n");
     return pass ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_quantization: " << e.what() << "\n";
+    return 2;
 }

@@ -37,7 +37,7 @@ std::vector<quant::QLLR> noisy_frame(const code::Dvbs2Code& c, double ebn0, std:
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"frames", "iters"});
     const int frames = static_cast<int>(args.get_int("frames", 2));
     const int iters = static_cast<int>(args.get_int("iters", 4));
@@ -86,4 +86,7 @@ int main(int argc, char** argv) {
     std::cout << (all_ok ? "E10 PASS: architecture model is bit-exact with the reference\n"
                          : "E10 FAIL\n");
     return all_ok ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_rtl_equivalence: " << e.what() << "\n";
+    return 2;
 }

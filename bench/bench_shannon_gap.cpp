@@ -28,7 +28,7 @@
 
 using namespace dvbs2;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"rates", "target", "frames", "step", "all", "threads"});
     const double target = args.get_double("target", 1e-4);
     const double step = args.get_double("step", 0.15);
@@ -93,4 +93,7 @@ int main(int argc, char** argv) {
                          "regime\n"
                        : "E8 FAIL\n");
     return pass ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_shannon_gap: " << e.what() << "\n";
+    return 2;
 }

@@ -202,7 +202,7 @@ bool batch_lanes_exact(core::MpDecoder<core::FixedArith>& scalar,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     util::CliArgs args(argc, argv, {"rate", "iters", "frames", "snr", "es-frames", "json"});
     const code::CodeRate rate = bench::parse_rate(args.get("rate", "1/2"));
     const int iters = static_cast<int>(args.get_int("iters", 10));
@@ -422,4 +422,7 @@ int main(int argc, char** argv) {
                       : "SIMD FAIL: divergence from the scalar reference (messages or "
                         "early-stop results)\n");
     return all_exact ? 0 : 1;
+} catch (const std::exception& e) {
+    std::cerr << "bench_simd_kernels: " << e.what() << "\n";
+    return 2;
 }

@@ -4,16 +4,9 @@
 //
 //   ./ber_sweep [--rate=1/2] [--from=0.6] [--to=1.6] [--step=0.2]
 //               [--frames=50] [--iters=30] [--fixed] [--bits=6]
-//               [--algorithm=minsum|wbf|rhs-bp]
 //               [--schedule=zigzag|twophase|segmented|map|layered]
 //               [--backend=scalar|simd] [--lanes=auto|group|frame]
 //               [--csv=out.csv] [--threads=N] [--progress]
-//
-// --algorithm selects the decoder family from the engine registry: "minsum"
-// (default) is the message-passing family, "wbf" the improved weighted-bit-
-// flipping decoder (flooding only: pair it with --schedule=twophase), and
-// "rhs-bp" the relaxed half-stochastic BP decoder (float only; budget more
-// --iters, relaxation converges slower).
 //
 // --backend=simd selects the SIMD fixed-point engine (requires --fixed).
 // --lanes picks its lane mapping: "group" is the group-parallel engine
@@ -72,25 +65,16 @@ core::SimdLaneMode parse_lanes(const std::string& s) {
     throw std::runtime_error("unknown lane mode " + s + " (auto, group, or frame)");
 }
 
-core::Algorithm parse_algorithm(const std::string& s) {
-    if (s == "minsum" || s == "min-sum") return core::Algorithm::MinSum;
-    if (s == "wbf") return core::Algorithm::Wbf;
-    if (s == "rhs-bp" || s == "rhs") return core::Algorithm::RhsBp;
-    throw std::runtime_error("unknown algorithm " + s + " (minsum, wbf, or rhs-bp)");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv,
                              {"rate", "from", "to", "step", "frames", "iters", "fixed", "bits",
-                              "algorithm", "schedule", "backend", "lanes", "csv", "threads",
-                              "progress"});
+                              "schedule", "backend", "lanes", "csv", "threads", "progress"});
     const auto rate = parse_rate(args.get("rate", "1/2"));
     const code::Dvbs2Code ldpc(code::standard_params(rate));
 
     core::DecoderConfig cfg;
-    cfg.algorithm = parse_algorithm(args.get("algorithm", "minsum"));
     cfg.schedule = parse_schedule(args.get("schedule", "zigzag"));
     cfg.backend = parse_backend(args.get("backend", "scalar"));
     cfg.lane_mode = parse_lanes(args.get("lanes", "auto"));
@@ -139,7 +123,7 @@ int main(int argc, char** argv) try {
 
     std::cout << ldpc.params().name << ", " << (fixed ? "fixed " + std::to_string(bits) + "-bit"
                                                       : std::string("float"))
-              << ", " << core::to_string(cfg.algorithm) << ", " << core::to_string(cfg.schedule)
+              << ", " << core::to_string(cfg.schedule)
               << ", " << core::to_string(cfg.backend) << " backend";
     if (cfg.backend == core::DecoderBackend::Simd)
         std::cout << " (lanes=" << core::to_string(cfg.lane_mode) << ")";

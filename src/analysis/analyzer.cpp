@@ -11,9 +11,8 @@ Report lint_configuration(const code::CodeParams& params, const code::IraTables&
     Report rep = lint_code_structure(params, tables);
 
     // Range analysis depends only on parameters and the decoder config, so
-    // it runs even when the table itself is broken. The legacy min-sum
-    // stage table first (cross-check tier), then the per-event IR
-    // certification, which carries all three algorithm tiers.
+    // it runs even when the table itself is broken: the word-format and
+    // rule-parameter gates, then the per-event IR certification.
     for (const quant::QuantSpec& spec : opts.quant_specs) {
         rep.merge(lint_fixed_point(params, opts.decoder, spec));
         rep.merge(lint_range_ir(params, opts.decoder, spec));
@@ -37,7 +36,6 @@ Report lint_configuration(const code::CodeParams& params, const code::IraTables&
         dopts.memory = opts.memory;
         dopts.buffer_depth = opts.buffer_depth;
         dopts.schedule = opts.decoder.schedule;
-        dopts.algorithm = opts.decoder.algorithm;
         rep.merge(lint_dataflow(code, mapping, dopts));
     } catch (const std::exception& e) {
         // The lint rules above are meant to pre-empt every constructor

@@ -11,7 +11,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
+#include <cstdlib>
 #include <cstddef>
 #include <map>
 
@@ -30,18 +30,11 @@ constexpr long long kTop = 1LL << 56;
 
 long long cap_top(long long v) { return v > kTop ? kTop : v; }
 
-long long wbf_alpha_term(const AbsintSpec& spec) {
-    return static_cast<long long>(
-        std::ceil(spec.wbf_alpha * static_cast<double>(spec.channel_clamp)));
-}
-
 /// Stage capacities, by stable stage name. The wide stages live in the
-/// accumulator word; finalize-offset and wbf-weight land in a stored
-/// message word; rhs-tracker is the unit-interval tracker itself.
+/// accumulator word; channel-quantize and finalize-offset land in a stored
+/// message word.
 long long stage_capacity(const std::string& stage, const AbsintSpec& spec) {
-    if (stage == "channel-quantize" || stage == "finalize-offset" || stage == "wbf-weight")
-        return spec.max_raw;
-    if (stage == "rhs-tracker") return 1;
+    if (stage == "channel-quantize" || stage == "finalize-offset") return spec.max_raw;
     return spec.wide_capacity;
 }
 
@@ -189,7 +182,7 @@ long long combine_all_but_one(Interp& in, const std::vector<long long>& inputs,
     return std::min(presat, spec.max_raw);
 }
 
-/// Finalize step of the min-sum tier (FixedArith::finalize). The offset
+/// Finalize step of the check-node update (FixedArith::finalize). The offset
 /// rule's result is deliberately NOT capped at max_raw: a negative offset
 /// grows messages past the quantizer bound, and the stored-word capacity
 /// check is what reports it.
@@ -230,8 +223,7 @@ void split_events(const Trace& t, const Firing& f, std::vector<std::size_t>& use
 
 /// Posterior hardening: the sinks of one firing, grouped by word index,
 /// are the down/up (or fwd/up) pair of one parity bit; its posterior is
-/// channel + the pair. For WBF the same pair is the parity bit's flip
-/// metric contribution instead.
+/// channel + the pair.
 void sink_posteriors(Interp& in, const std::vector<std::size_t>& sinks) {
     std::map<std::int32_t, std::pair<long long, std::size_t>> groups;
     for (std::size_t ei : sinks) {
@@ -243,15 +235,11 @@ void sink_posteriors(Interp& in, const std::vector<std::size_t>& sinks) {
     }
     for (const auto& [index, acc] : groups) {
         (void)index;
-        if (in.spec.algorithm == core::Algorithm::Wbf)
-            in.stage("wbf-flip-metric", acc.first + wbf_alpha_term(in.spec), acc.second);
-        else
-            in.stage("parity-posterior", cap_top(in.spec.channel_clamp + acc.first),
-                     acc.second);
+        in.stage("parity-posterior", cap_top(in.spec.channel_clamp + acc.first), acc.second);
     }
 }
 
-/// Eq. 4 information-node update (or its WBF / RHS-BP reinterpretation).
+/// Eq. 4 information-node update.
 void fire_variable(Interp& in, const std::vector<std::size_t>& uses,
                    const std::vector<std::size_t>& defs) {
     const AbsintSpec& spec = in.spec;
@@ -261,31 +249,12 @@ void fire_variable(Interp& in, const std::vector<std::size_t>& uses,
         sum = cap_top(sum + in.rd(u));
     }
     const std::size_t mark = defs.empty() ? (uses.empty() ? 0 : uses.front()) : defs.front();
-    switch (spec.algorithm) {
-        case core::Algorithm::MinSum: {
-            in.stage("vn-accumulate", cap_top(spec.channel_clamp + sum), mark);
-            for (std::size_t k = 0; k < defs.size(); ++k) {
-                const long long excl = k < uses.size() ? in.rd(uses[k]) : 0;
-                const long long pre = cap_top(spec.channel_clamp + sum - excl);
-                in.stage("vn-extrinsic", pre, defs[k]);
-                in.wr(defs[k], std::min(pre, spec.max_raw));
-            }
-            break;
-        }
-        case core::Algorithm::Wbf: {
-            // flip metric E_v = sum of the node's check weights + alpha*|y|;
-            // the write-back is the reliability |y| <= channel clamp.
-            in.stage("wbf-flip-metric", cap_top(sum + wbf_alpha_term(spec)), mark);
-            for (std::size_t d : defs) in.wr(d, spec.channel_clamp);
-            break;
-        }
-        case core::Algorithm::RhsBp: {
-            // posterior = channel + sum of tracker LLRs; the write-back is
-            // the binarized stochastic symbol (one raw unit of sign).
-            in.stage("vn-accumulate", cap_top(spec.channel_clamp + sum), mark);
-            for (std::size_t d : defs) in.wr(d, 1);
-            break;
-        }
+    in.stage("vn-accumulate", cap_top(spec.channel_clamp + sum), mark);
+    for (std::size_t k = 0; k < defs.size(); ++k) {
+        const long long excl = k < uses.size() ? in.rd(uses[k]) : 0;
+        const long long pre = cap_top(spec.channel_clamp + sum - excl);
+        in.stage("vn-extrinsic", pre, defs[k]);
+        in.wr(defs[k], std::min(pre, spec.max_raw));
     }
 }
 
@@ -293,31 +262,17 @@ void fire_variable(Interp& in, const std::vector<std::size_t>& uses,
 void fire_parity_node(Interp& in, const std::vector<std::size_t>& uses,
                       const std::vector<std::size_t>& defs) {
     const AbsintSpec& spec = in.spec;
-    long long up = 0, down = 0, sum = 0;
+    long long up = 0, down = 0;
     for (std::size_t u : uses) {
         in.observe(u);
-        const long long b = in.rd(u);
-        sum = cap_top(sum + b);
-        (in.trace.events[u].space == Space::ZigzagBwd ? up : down) = b;
+        (in.trace.events[u].space == Space::ZigzagBwd ? up : down) = in.rd(u);
     }
     for (std::size_t d : defs) {
         const Event& e = in.trace.events[d];
         const long long partner = e.space == Space::ZigzagFwd ? up : down;
-        switch (spec.algorithm) {
-            case core::Algorithm::MinSum: {
-                const long long pre = cap_top(spec.channel_clamp + partner);
-                in.stage("zigzag-chain-add", pre, d);
-                in.wr(d, std::min(pre, spec.max_raw));
-                break;
-            }
-            case core::Algorithm::Wbf:
-                in.stage("wbf-flip-metric", cap_top(sum + wbf_alpha_term(spec)), d);
-                in.wr(d, spec.channel_clamp);
-                break;
-            case core::Algorithm::RhsBp:
-                in.wr(d, cap_top(spec.channel_clamp + partner));
-                break;
-        }
+        const long long pre = cap_top(spec.channel_clamp + partner);
+        in.stage("zigzag-chain-add", pre, d);
+        in.wr(d, std::min(pre, spec.max_raw));
     }
 }
 
@@ -329,13 +284,6 @@ void fire_check(Interp& in, const std::vector<std::size_t>& uses,
                 const std::vector<std::size_t>& defs) {
     const AbsintSpec& spec = in.spec;
     const std::size_t mark = defs.empty() ? (uses.empty() ? 0 : uses.front()) : defs.front();
-
-    if (spec.algorithm == core::Algorithm::RhsBp) {
-        for (std::size_t u : uses) in.observe(u);
-        in.stage("rhs-atanh-clamp", spec.rhs_cmax_raw, mark);
-        for (std::size_t d : defs) in.wr(d, spec.rhs_cmax_raw);
-        return;
-    }
 
     std::vector<long long> inputs;
     inputs.reserve(uses.size());
@@ -350,18 +298,6 @@ void fire_check(Interp& in, const std::vector<std::size_t>& uses,
             in.stage("zigzag-chain-add", pre, u);
             inputs.push_back(std::min(pre, spec.max_raw));
         }
-    }
-
-    if (spec.algorithm == core::Algorithm::Wbf) {
-        // stored weight w is the check's min1 or min2 reliability; order
-        // statistics are monotone in each input, so the second-smallest
-        // input bound dominates both.
-        const long long w =
-            inputs.size() <= 1 ? (inputs.empty() ? spec.channel_clamp : inputs.front())
-                               : std::min(second_smallest(inputs), spec.max_raw);
-        in.stage("wbf-weight", w, mark);
-        for (std::size_t d : defs) in.wr(d, w);
-        return;
     }
 
     const long long comb = combine_all_but_one(in, inputs, mark);
@@ -400,16 +336,8 @@ void fire_layered(Interp& in, const std::vector<std::size_t>& uses,
         ++k;  // the contribution use is consumed by this pair
     }
 
-    long long fresh;
-    if (spec.algorithm == core::Algorithm::RhsBp) {
-        const std::size_t mark = defs.empty() ? uses.front() : defs.front();
-        in.stage("rhs-atanh-clamp", spec.rhs_cmax_raw, mark);
-        fresh = spec.rhs_cmax_raw;
-    } else {
-        const std::size_t mark = defs.empty() ? uses.front() : defs.front();
-        const long long comb = combine_all_but_one(in, inputs, mark);
-        fresh = finalize_bound(in, comb, mark);
-    }
+    const std::size_t mark = defs.empty() ? uses.front() : defs.front();
+    const long long fresh = finalize_bound(in, combine_all_but_one(in, inputs, mark), mark);
 
     for (std::size_t k = 0; k < defs.size(); ++k) {
         const Event& ce = in.trace.events[defs[k]];
@@ -475,28 +403,21 @@ int parity_unit_base_of(const Trace& t) {
 
 long long space_capacity(Space s, const AbsintSpec& spec) {
     if (s == Space::PostInfo || s == Space::PostParity) return spec.wide_capacity;
-    // The registered RHS-BP engines store doubles; the stored-word capacity
-    // only binds for the fixed message-passing tiers.
-    if (spec.algorithm == core::Algorithm::RhsBp) return spec.wide_capacity;
     return spec.max_raw;
 }
 
 RangeCertificate certify_ranges(const Trace& trace, const AbsintSpec& spec) {
     DVBS2_REQUIRE(spec.max_raw >= 1 && spec.channel_clamp >= 0,
                   "absint spec needs channel_clamp >= 0 and max_raw >= 1");
-    // the fixed tiers quantize the channel, so it cannot exceed the word
-    // bound; the RHS-BP tier stores doubles and clamps at the LLR cap,
-    // which in raw units is legitimately wider than the quantizer.
-    DVBS2_REQUIRE(spec.algorithm == core::Algorithm::RhsBp ||
-                      spec.channel_clamp <= spec.max_raw,
-                  "fixed-tier channel clamp exceeds the quantizer bound");
+    // the channel is quantized, so it cannot exceed the word bound
+    DVBS2_REQUIRE(spec.channel_clamp <= spec.max_raw,
+                  "channel clamp exceeds the quantizer bound");
     DVBS2_REQUIRE(spec.wide_capacity >= spec.max_raw, "wide capacity below message bound");
     DVBS2_REQUIRE(static_cast<int>(trace.space_size.size()) == kSpaceCount,
                   "trace space table malformed");
 
     RangeCertificate cert;
     cert.schedule = trace.schedule;
-    cert.algorithm = spec.algorithm;
     cert.spec = spec;
 
     const std::vector<Firing> firings = scan_firings(trace);
@@ -539,16 +460,7 @@ RangeCertificate certify_ranges(const Trace& trace, const AbsintSpec& spec) {
     cert.event_bound.assign(trace.events.size(), 0);
     StageAcc acc;
     acc.spec = &spec;
-    // channel-quantize binds the fixed tiers only; the RHS-BP channel is a
-    // clamped double whose raw-unit scale legitimately exceeds the quantizer
-    if (spec.algorithm != core::Algorithm::RhsBp)
-        acc.see("channel-quantize", spec.channel_clamp, -1);
-    if (spec.algorithm == core::Algorithm::Wbf)
-        acc.see("wbf-surrender-count", trace.dims.m(), -1);
-    if (spec.algorithm == core::Algorithm::RhsBp) {
-        acc.see("rhs-tracker", 1, -1);
-        acc.see("rhs-atanh-clamp", spec.rhs_cmax_raw, -1);
-    }
+    acc.see("channel-quantize", spec.channel_clamp, -1);
     in.stages = &acc;
     in.annot = &cert.event_bound;
     interpret(in, firings, 0, firings.size());
@@ -714,16 +626,11 @@ std::vector<long long> replay_firing_defs(Replay& r, const std::vector<std::size
             inputs.push_back(std::min(pre, spec.max_raw));
             ++k;
         }
-        long long fresh;
-        if (spec.algorithm == core::Algorithm::RhsBp) {
-            fresh = spec.rhs_cmax_raw;
-        } else {
-            long long presat = inputs.size() <= 1 ? spec.max_raw : replay_second_min(inputs);
-            if (inputs.size() > 1 && spec.rule == core::CheckRule::Exact)
-                presat = cap_top(presat + spec.corr_peak);
-            r.stage_hit("cn-combine", presat, mark);
-            fresh = replay_finalize(r, std::min(presat, spec.max_raw), mark);
-        }
+        long long presat = inputs.size() <= 1 ? spec.max_raw : replay_second_min(inputs);
+        if (inputs.size() > 1 && spec.rule == core::CheckRule::Exact)
+            presat = cap_top(presat + spec.corr_peak);
+        r.stage_hit("cn-combine", presat, mark);
+        const long long fresh = replay_finalize(r, std::min(presat, spec.max_raw), mark);
         for (std::size_t k = 0; k < defs.size(); ++k) {
             const Event& ce = t.events[defs[k]];
             if (ce.space == Space::PostInfo || ce.space == Space::PostParity) {
@@ -756,30 +663,14 @@ std::vector<long long> replay_firing_defs(Replay& r, const std::vector<std::size
     }
 
     if (head.phase == 0 && head.unit >= parity_base) {  // flooding parity node
-        long long up = 0, down = 0, sum = 0;
-        for (std::size_t u : uses) {
-            const long long b = uclaim(u);
-            sum = cap_top(sum + b);
-            (t.events[u].space == Space::ZigzagBwd ? up : down) = b;
-        }
+        long long up = 0, down = 0;
+        for (std::size_t u : uses)
+            (t.events[u].space == Space::ZigzagBwd ? up : down) = uclaim(u);
         for (std::size_t k = 0; k < defs.size(); ++k) {
             const long long partner = t.events[defs[k]].space == Space::ZigzagFwd ? up : down;
-            switch (spec.algorithm) {
-                case core::Algorithm::MinSum: {
-                    const long long pre = cap_top(spec.channel_clamp + partner);
-                    r.stage_hit("zigzag-chain-add", pre, static_cast<std::int64_t>(defs[k]));
-                    out[k] = std::min(pre, spec.max_raw);
-                    break;
-                }
-                case core::Algorithm::Wbf:
-                    r.stage_hit("wbf-flip-metric", cap_top(sum + wbf_alpha_term(spec)),
-                                static_cast<std::int64_t>(defs[k]));
-                    out[k] = spec.channel_clamp;
-                    break;
-                case core::Algorithm::RhsBp:
-                    out[k] = cap_top(spec.channel_clamp + partner);
-                    break;
-            }
+            const long long pre = cap_top(spec.channel_clamp + partner);
+            r.stage_hit("zigzag-chain-add", pre, static_cast<std::int64_t>(defs[k]));
+            out[k] = std::min(pre, spec.max_raw);
         }
         return out;
     }
@@ -787,34 +678,17 @@ std::vector<long long> replay_firing_defs(Replay& r, const std::vector<std::size
     if (head.phase == 0) {  // information-node update
         long long sum = 0;
         for (std::size_t u : uses) sum = cap_top(sum + uclaim(u));
-        switch (spec.algorithm) {
-            case core::Algorithm::MinSum: {
-                r.stage_hit("vn-accumulate", cap_top(spec.channel_clamp + sum), mark);
-                for (std::size_t k = 0; k < defs.size(); ++k) {
-                    const long long excl = k < uses.size() ? uclaim(uses[k]) : 0;
-                    const long long pre = cap_top(spec.channel_clamp + sum - excl);
-                    r.stage_hit("vn-extrinsic", pre, static_cast<std::int64_t>(defs[k]));
-                    out[k] = std::min(pre, spec.max_raw);
-                }
-                break;
-            }
-            case core::Algorithm::Wbf:
-                r.stage_hit("wbf-flip-metric", cap_top(sum + wbf_alpha_term(spec)), mark);
-                for (std::size_t k = 0; k < defs.size(); ++k) out[k] = spec.channel_clamp;
-                break;
-            case core::Algorithm::RhsBp:
-                r.stage_hit("vn-accumulate", cap_top(spec.channel_clamp + sum), mark);
-                for (std::size_t k = 0; k < defs.size(); ++k) out[k] = 1;
-                break;
+        r.stage_hit("vn-accumulate", cap_top(spec.channel_clamp + sum), mark);
+        for (std::size_t k = 0; k < defs.size(); ++k) {
+            const long long excl = k < uses.size() ? uclaim(uses[k]) : 0;
+            const long long pre = cap_top(spec.channel_clamp + sum - excl);
+            r.stage_hit("vn-extrinsic", pre, static_cast<std::int64_t>(defs[k]));
+            out[k] = std::min(pre, spec.max_raw);
         }
         return out;
     }
 
     // check-node firing (incl. the MAP forward sweep)
-    if (spec.algorithm == core::Algorithm::RhsBp) {
-        for (std::size_t k = 0; k < defs.size(); ++k) out[k] = spec.rhs_cmax_raw;
-        return out;
-    }
     std::vector<long long> inputs;
     for (std::size_t u : uses) {
         const long long b = uclaim(u);
@@ -825,14 +699,6 @@ std::vector<long long> replay_firing_defs(Replay& r, const std::vector<std::size
             r.stage_hit("zigzag-chain-add", pre, static_cast<std::int64_t>(u));
             inputs.push_back(std::min(pre, spec.max_raw));
         }
-    }
-    if (spec.algorithm == core::Algorithm::Wbf) {
-        const long long w =
-            inputs.size() <= 1 ? (inputs.empty() ? spec.channel_clamp : inputs.front())
-                               : std::min(replay_second_min(inputs), spec.max_raw);
-        r.stage_hit("wbf-weight", w, mark);
-        for (std::size_t k = 0; k < defs.size(); ++k) out[k] = w;
-        return out;
     }
     long long presat = inputs.size() <= 1 ? spec.max_raw : replay_second_min(inputs);
     if (inputs.size() > 1 && spec.rule == core::CheckRule::Exact)
@@ -887,15 +753,8 @@ void replay_walk_firing(Replay& r, std::size_t fb, std::size_t fe, int parity_ba
     for (std::size_t s : sinks) {
         auto it = groups.find(t.events[s].index);
         if (it == groups.end()) continue;
-        if (r.spec.algorithm == core::Algorithm::Wbf)
-            r.stage_hit("wbf-flip-metric", cap_top(it->second + wbf_alpha_term(r.spec)),
-                        static_cast<std::int64_t>(s));
-        else if (r.spec.algorithm == core::Algorithm::MinSum)
-            r.stage_hit("parity-posterior", cap_top(r.spec.channel_clamp + it->second),
-                        static_cast<std::int64_t>(s));
-        else
-            r.stage_hit("parity-posterior", cap_top(r.spec.channel_clamp + it->second),
-                        static_cast<std::int64_t>(s));
+        r.stage_hit("parity-posterior", cap_top(r.spec.channel_clamp + it->second),
+                    static_cast<std::int64_t>(s));
         groups.erase(it);
     }
 }
@@ -908,7 +767,6 @@ RangeCheck check_range_certificate(const Trace& trace, const AbsintSpec& spec,
         return RangeCheck{false, RangeRejection{std::move(reason), ev}};
     };
     if (cert.schedule != trace.schedule) return fail("certificate is for another schedule");
-    if (cert.algorithm != spec.algorithm) return fail("certificate is for another algorithm");
     if (cert.event_bound.size() != trace.events.size())
         return fail("event-bound table does not match the trace");
     if (cert.space_bound.size() != static_cast<std::size_t>(kSpaceCount))
@@ -1032,44 +890,15 @@ RangeCheck check_range_certificate(const Trace& trace, const AbsintSpec& spec,
 // Witness concretizer
 // --------------------------------------------------------------------------
 
-RangeWitness concretize_witness(const AbsintSpec& spec, const RangeCertificate& cert) {
-    RangeWitness w;
-    w.algorithm = spec.algorithm;
-    w.peaks = cert.space_bound;
-    switch (spec.algorithm) {
-        case core::Algorithm::MinSum:
-            // the all-zero codeword at saturating magnitude: every v2c and
-            // c2v pins at the quantizer bound, posteriors at ch + deg*F.
-            w.pattern = WitnessPattern::AllSaturate;
-            w.channel_magnitude = 1e6;
-            w.note = "decode; stored words reach finalize(max_raw), posteriors the vn sums";
-            break;
-        case core::Algorithm::Wbf:
-            // one flipped bit keeps its checks unsatisfied so the flip pass
-            // runs; reliabilities and weights pin at the channel clamp and
-            // the distant bits reach the full-magnitude flip metric.
-            w.pattern = WitnessPattern::SingleFlip;
-            w.channel_magnitude = 1e6;
-            w.note = "flip one max-degree info bit; run >= 1 flip pass and read the metrics";
-            break;
-        case core::Algorithm::RhsBp:
-            // high-confidence channel plus one flipped bit with beta near 1
-            // drives trackers to +-1, so messages reach the atanh clamp.
-            w.pattern = WitnessPattern::SingleFlip;
-            w.channel_magnitude = 30.0;
-            w.note = "run with rhs_beta ~ 0.999; trackers reach the 2*atanh clamp";
-            break;
-    }
-    return w;
+RangeWitness concretize_witness(const RangeCertificate& cert) {
+    // the all-zero codeword at saturating magnitude: every v2c and c2v pins
+    // at the quantizer bound, posteriors at ch + deg*F.
+    return RangeWitness{1e6, cert.space_bound};
 }
 
-std::vector<double> witness_llrs(const RangeWitness& witness, long long n,
-                                 long long flip_index) {
+std::vector<double> witness_llrs(const RangeWitness& witness, long long n) {
     DVBS2_REQUIRE(n >= 0, "witness needs a non-negative length");
-    std::vector<double> llrs(static_cast<std::size_t>(n), witness.channel_magnitude);
-    if (witness.pattern == WitnessPattern::SingleFlip && flip_index >= 0 && flip_index < n)
-        llrs[static_cast<std::size_t>(flip_index)] = -witness.channel_magnitude;
-    return llrs;
+    return std::vector<double>(static_cast<std::size_t>(n), witness.channel_magnitude);
 }
 
 }  // namespace dvbs2::analysis::ir

@@ -1,28 +1,17 @@
 // Per-event fixed-point range certification: an interval-domain abstract
-// interpreter over the schedule dataflow IR (ir.hpp), for all three
-// algorithm tiers (min-sum message passing, weighted bit flipping, relaxed
-// half-stochastic BP).
+// interpreter over the schedule dataflow IR (ir.hpp), for the fixed-point
+// message-passing datapath.
 //
 // The interpreter walks the compiled Def/Use/Sink event trace of a schedule
 // and maintains, per storage word, a proven magnitude bound (a symmetric
-// interval [-b, +b]; every transfer function in all three datapaths is odd,
-// so symmetric intervals lose nothing). Each firing — a maximal run of
-// events from one (iteration, phase, unit) — applies the algorithm's
-// abstract transfer function:
-//
-//   * min-sum tier: Eq. 4 variable-node accumulation and per-edge
-//     extrinsic subtraction, zigzag chain wire-adds, the check-node combine
-//     (min for the min-sum rules, min + correction peak for the exact
-//     boxplus LUT), and the finalize step (normalization's (v*n+8)>>4 or
-//     the offset subtraction), with saturation at the quantizer bound;
-//   * WBF tier: reliability write-back (|y| <= channel clamp), per-check
-//     reliability weights (an order-statistic bound: the stored w is the
-//     check's min1/min2, never above the second-smallest input bound), the
-//     flip-metric accumulation E_v = sum w + alpha*|y|, and the surrender
-//     gate's unsatisfied-check counter;
-//   * RHS-BP tier: tracker relaxation keeps t in [-1, 1], so every stored
-//     message obeys the 2*atanh clamp; posteriors accumulate channel +
-//     degree * clamp.
+// interval [-b, +b]; every transfer function of the datapath is odd, so
+// symmetric intervals lose nothing). Each firing — a maximal run of events
+// from one (iteration, phase, unit) — applies the abstract transfer
+// function of its node update: Eq. 4 variable-node accumulation and
+// per-edge extrinsic subtraction, zigzag chain wire-adds, the check-node
+// combine (min for the min-sum rules, min + correction peak for the exact
+// boxplus LUT), and the finalize step (normalization's (v*n+8)>>4 or the
+// offset subtraction), with saturation at the quantizer bound.
 //
 // Layered posterior words are the one place plain interval iteration
 // diverges (post += new - old grows without bound in the abstract), so they
@@ -50,8 +39,8 @@
 // tests (tightness), see tests/test_absint.cpp.
 //
 // Like the rest of dvbs2_ir this header is below core and quant: the word
-// format is passed as plain numbers (AbsintSpec), and callers convert their
-// quant::QuantSpec (see core/engine.cpp and analysis/lint_range_ir.cpp).
+// format is passed as plain numbers (AbsintSpec), which core::absint_spec_of
+// derives from a quant::QuantSpec (core/engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -64,25 +53,23 @@
 namespace dvbs2::analysis::ir {
 
 /// Plain-number description of the fixed-point datapath a trace is
-/// certified against. Callers derive it from a quant::QuantSpec plus the
-/// DecoderConfig knobs; keeping it numeric keeps dvbs2_ir below dvbs2_quant.
+/// certified against. core::absint_spec_of derives it from a
+/// quant::QuantSpec plus the DecoderConfig knobs; keeping it numeric keeps
+/// dvbs2_ir below dvbs2_quant.
 struct AbsintSpec {
-    core::Algorithm algorithm = core::Algorithm::MinSum;
-    core::CheckRule rule = core::CheckRule::Exact;  ///< min-sum tier combine rule
+    core::CheckRule rule = core::CheckRule::Exact;  ///< check-node combine rule
     long long max_raw = 31;         ///< R: message saturation bound of the quantizer
     long long channel_clamp = 31;   ///< bound on |quantized channel LLR| (<= max_raw)
     long long corr_peak = 0;        ///< exact-rule correction LUT peak, raw units
     long long wide_capacity = 2147483647;  ///< accumulator word capacity
     long long norm_num = 12;        ///< normalized-rule numerator (normalization * 16)
     long long offset_raw = 0;       ///< offset-rule subtrahend, raw units (sign kept)
-    double wbf_alpha = 0.2;         ///< WBF reliability weight in the flip metric
-    long long rhs_cmax_raw = 48;    ///< RHS-BP 2*atanh tracker clamp, raw units
 };
 
-/// One named wide-accumulator checkpoint of the abstract run. Stage names
-/// are stable identifiers shared with the legacy range.* family where the
-/// datapaths coincide (vn-accumulate, cn-combine, finalize-*, ...), plus
-/// the per-algorithm stages (wbf-flip-metric, rhs-atanh-clamp, ...).
+/// One named checkpoint of the abstract run. Stage names are stable
+/// identifiers: channel-quantize, vn-accumulate, vn-extrinsic,
+/// zigzag-chain-add, parity-posterior, layered-gather, layered-posterior,
+/// cn-combine, finalize-normalize and finalize-offset.
 struct StageBound {
     std::string stage;
     long long worst = 0;
@@ -100,7 +87,6 @@ struct StageBound {
 /// stage or storage space.
 struct RangeCertificate {
     core::Schedule schedule{};
-    core::Algorithm algorithm{};
     AbsintSpec spec;
     bool ok = false;
     std::vector<long long> space_bound;   ///< kSpaceCount entries
@@ -113,8 +99,7 @@ struct RangeCertificate {
 };
 
 /// Storage capacity of a space under `spec` (the quantizer bound for the
-/// fixed message words, the wide accumulator capacity for posterior totals
-/// and for the RHS-BP tier, whose registered engines store doubles).
+/// fixed message words, the wide accumulator capacity for posterior totals).
 long long space_capacity(Space s, const AbsintSpec& spec);
 
 /// Runs the abstract interpreter over `trace` and emits the certificate.
@@ -142,30 +127,20 @@ struct RangeCheck {
 RangeCheck check_range_certificate(const Trace& trace, const AbsintSpec& spec,
                                    const RangeCertificate& cert);
 
-/// How a witness input drives the decoder to the proven peaks.
-enum class WitnessPattern {
-    AllSaturate,  ///< every channel LLR at the saturation bound, all-zero codeword
-    SingleFlip,   ///< as AllSaturate, but one information bit's sign flipped
-};
-
-/// Adversarial input concretized from a certificate: a channel vector that
-/// reaches the per-space proven peaks on the real decoder. `peaks` echoes
-/// the certificate bounds the witness is expected to attain (raw units).
+/// Adversarial input concretized from a certificate: every channel LLR at
+/// the saturation bound (the all-zero codeword). Decoding it drives the
+/// stored words to finalize(max_raw) and the posteriors to the vn sums, the
+/// per-space proven peaks. `peaks` echoes the certificate bounds the
+/// witness is expected to attain (raw units).
 struct RangeWitness {
-    core::Algorithm algorithm{};
-    WitnessPattern pattern{};
     double channel_magnitude = 0;  ///< |LLR| every channel input is driven at
     std::vector<long long> peaks;  ///< kSpaceCount expected per-space bounds
-    std::string note;              ///< how to run the decoder against it
 };
 
-/// Builds the witness recipe for `cert`. The expansion to a concrete LLR
-/// vector is `witness_llrs`; tests pick the flip position (a maximum-degree
-/// information bit keeps the witness adversarial for the flip metric).
-RangeWitness concretize_witness(const AbsintSpec& spec, const RangeCertificate& cert);
+/// Builds the witness recipe for `cert`; `witness_llrs` expands it.
+RangeWitness concretize_witness(const RangeCertificate& cert);
 
-/// Expands a witness to n channel LLRs (flip_index < 0 disables the flip).
-std::vector<double> witness_llrs(const RangeWitness& witness, long long n,
-                                 long long flip_index);
+/// Expands a witness to n channel LLRs.
+std::vector<double> witness_llrs(const RangeWitness& witness, long long n);
 
 }  // namespace dvbs2::analysis::ir

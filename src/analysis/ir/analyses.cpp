@@ -216,13 +216,6 @@ ScheduleClass classify_one(core::Schedule s) {
     if (par.violation) c.group_parallel_obstruction = par.violation->describe();
     c.frame_per_lane_legal = std::all_of(trace.events.begin(), trace.events.end(),
                                          [](const Event& ev) { return space_is_frame_local(ev.space); });
-    for (const PhaseParallelism& pp : par.phases) {
-        if (pp.name == "variable") continue;
-        if (pp.levels >= c.check_levels) {
-            c.check_levels = pp.levels;
-            c.check_max_group = pp.max_group;
-        }
-    }
     return c;
 }
 
@@ -240,75 +233,6 @@ const ScheduleClass& classify_schedule(core::Schedule schedule) {
     }();
     const auto i = static_cast<std::size_t>(schedule);
     DVBS2_REQUIRE(i < table.size(), "unknown schedule value " + std::to_string(i));
-    return table[i];
-}
-
-namespace {
-
-constexpr std::array<core::Schedule, kScheduleCount> kAllSchedules = {
-    core::Schedule::TwoPhase, core::Schedule::ZigzagForward, core::Schedule::ZigzagSegmented,
-    core::Schedule::ZigzagMap, core::Schedule::Layered};
-
-AlgorithmClass classify_algorithm_one(core::Algorithm a) {
-    AlgorithmClass c;
-    c.algorithm = a;
-    switch (a) {
-        case core::Algorithm::MinSum:
-            // The traced MP family itself: every classified schedule runs,
-            // and both SIMD lane mappings are implemented (the per-schedule
-            // lane-mode verdicts stay with classify_schedule).
-            for (core::Schedule s : kAllSchedules)
-                c.schedule_supported[static_cast<std::size_t>(s)] = true;
-            c.simd_supported = true;
-            break;
-        case core::Algorithm::Wbf:
-            // The flip metric consumes one whole iteration's syndrome, so
-            // WBF only has an analogue on schedules whose check phase is a
-            // single dependence level (flooding). Derived from the same
-            // trace analysis classify_schedule caches.
-            for (core::Schedule s : kAllSchedules) {
-                const ScheduleClass& sc = classify_schedule(s);
-                const auto i = static_cast<std::size_t>(s);
-                if (sc.check_levels <= 1) {
-                    c.schedule_supported[i] = true;
-                } else {
-                    c.schedule_obstruction[i] =
-                        std::string("schedule ") + core::to_string(s) + " has " +
-                        std::to_string(sc.check_levels) +
-                        " check dependence levels; the WBF flip metric needs the whole "
-                        "iteration's syndrome at once (single-level check phase)";
-                }
-            }
-            c.simd_obstruction =
-                "the SIMD datapath implements the fixed-point min-sum message kernels; "
-                "WBF's syndrome/flip-metric passes have no lane mapping there";
-            break;
-        case core::Algorithm::RhsBp:
-            // Binarized-v2c / tracker-c2v transform over the same def/use
-            // trace shape: inherits the MP per-schedule verdicts wholesale.
-            for (core::Schedule s : kAllSchedules)
-                c.schedule_supported[static_cast<std::size_t>(s)] = true;
-            c.simd_obstruction =
-                "the SIMD datapath implements the fixed-point min-sum message kernels; "
-                "RHS-BP's stochastic binarization and tracker relaxation have no lane "
-                "mapping there";
-            break;
-    }
-    return c;
-}
-
-}  // namespace
-
-const AlgorithmClass& classify_algorithm(core::Algorithm algorithm) {
-    static const std::array<AlgorithmClass, 3> table = [] {
-        std::array<AlgorithmClass, 3> t{};
-        for (core::Algorithm a :
-             {core::Algorithm::MinSum, core::Algorithm::Wbf, core::Algorithm::RhsBp})
-            t[static_cast<std::size_t>(a)] = classify_algorithm_one(a);
-        return t;
-    }();
-    const auto i = static_cast<std::size_t>(algorithm);
-    DVBS2_REQUIRE(i < table.size(), "unknown algorithm value " + std::to_string(i));
     return table[i];
 }
 

@@ -107,57 +107,10 @@ struct ScheduleClass {
     /// Legal with one frame per lane. Derived from the space inventory:
     /// every space is frame-local, so lanes never exchange data.
     bool frame_per_lane_legal = false;
-    /// Level structure of the deepest non-variable phase at canonical dims.
-    int check_levels = 0;
-    int check_max_group = 0;
 };
 
 /// Cached classification of `schedule` (thread-safe, computed once).
 const ScheduleClass& classify_schedule(core::Schedule schedule);
-
-// ------------------------------------------------ algorithm classification
-
-/// Number of schedules classify_* covers (the core::Schedule enumerators).
-inline constexpr int kScheduleCount = 5;
-
-/// Derived engine-facing verdicts for one decoding algorithm: which
-/// schedules it runs and whether the SIMD backend implements it. Like
-/// ScheduleClass, the verdicts are derived from the trace analyses, not
-/// hardcoded per-combination:
-///   * Algorithm::MinSum is the traced message-passing family itself — it
-///     supports every classified schedule and both SIMD lane mappings.
-///   * Algorithm::Wbf computes its flip metric from one whole iteration's
-///     syndrome, so it only has an analogue on schedules whose check phase
-///     is a single dependence level (ScheduleClass::check_levels == 1, i.e.
-///     flooding); a deeper level structure means the schedule's freshness
-///     (values consumed mid-sweep) has no WBF counterpart.
-///   * Algorithm::RhsBp is a message-passing transform (binarized v2c,
-///     tracker-relaxed c2v) over the same def/use trace shape, so it
-///     inherits the MP schedule verdicts; the SIMD datapath implements the
-///     fixed-point min-sum arithmetic only, so neither new family runs on
-///     DecoderBackend::Simd.
-struct AlgorithmClass {
-    core::Algorithm algorithm{};
-    /// Indexed by static_cast<int>(core::Schedule).
-    std::array<bool, kScheduleCount> schedule_supported{};
-    /// Why not, per unsupported schedule (empty when supported).
-    std::array<std::string, kScheduleCount> schedule_obstruction{};
-    bool simd_supported = false;
-    std::string simd_obstruction;  ///< why not, when unsupported
-
-    bool supports(core::Schedule s) const {
-        return schedule_supported[static_cast<std::size_t>(s)];
-    }
-    const std::string& obstruction(core::Schedule s) const {
-        return schedule_obstruction[static_cast<std::size_t>(s)];
-    }
-};
-
-/// Cached classification of `algorithm` (thread-safe, computed once).
-/// Consulted by core::validate_engine_spec for the (algorithm, schedule,
-/// backend) legality decision and surfaced by the schedule.dataflow.*
-/// lint family.
-const AlgorithmClass& classify_algorithm(core::Algorithm algorithm);
 
 // ------------------------------------------------- model: slot-stream rules
 

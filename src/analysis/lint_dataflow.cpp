@@ -165,27 +165,6 @@ Report lint_dataflow(const code::Dvbs2Code& code, const arch::HardwareMapping& m
         msg += " — zigzag halving verified (" + std::to_string(live.parity_words()) + " vs " +
                std::to_string(flood.parity_words()) + ")";
     rep.add("schedule.dataflow.liveness", Severity::Note, schedule_location(opts.schedule), msg);
-
-    // The trace rules above are schedule properties; whether the configured
-    // algorithm can consume this schedule is a separate derived verdict
-    // (classify_algorithm), so the family never silently assumes min-sum.
-    const ir::AlgorithmClass& alg = ir::classify_algorithm(opts.algorithm);
-    const std::string alg_loc =
-        std::string("algorithm=") + core::to_string(opts.algorithm) + ", " +
-        schedule_location(opts.schedule);
-    if (alg.supports(opts.schedule)) {
-        rep.add("schedule.dataflow.algorithm", Severity::Note, alg_loc,
-                std::string("algorithm ") + core::to_string(opts.algorithm) +
-                    " runs this schedule; SIMD backend " +
-                    (alg.simd_supported ? "implemented (lane-mode verdicts above apply)"
-                                        : "unavailable: " + alg.simd_obstruction));
-    } else {
-        rep.add("schedule.dataflow.algorithm", Severity::Error, alg_loc,
-                std::string("algorithm ") + core::to_string(opts.algorithm) +
-                    " cannot run this schedule: " + alg.obstruction(opts.schedule),
-                "choose a schedule classify_algorithm marks supported for this algorithm "
-                "(e.g. two-phase flooding for wbf)");
-    }
     return rep;
 }
 

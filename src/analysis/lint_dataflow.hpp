@@ -29,12 +29,6 @@
 //                                    frame-per-lane verdicts
 //   schedule.dataflow.liveness       (note) exact peak live words per space,
 //                                    with the halving comparison
-//   schedule.dataflow.algorithm      derived (algorithm, schedule) verdict:
-//                                    note when the configured algorithm runs
-//                                    the schedule (naming its SIMD verdict
-//                                    too), error with the obstruction when it
-//                                    cannot — the rule family does not assume
-//                                    the min-sum MP family
 #pragma once
 
 #include "analysis/diag.hpp"
@@ -49,10 +43,6 @@ struct DataflowOptions {
     arch::MemoryConfig memory;
     int buffer_depth = 4;  ///< conflict FIFO words the design provides
     core::Schedule schedule = core::Schedule::ZigzagForward;
-    /// Decoding algorithm the (schedule, backend) is checked against: the
-    /// trace rules above are schedule properties, but the legality verdict
-    /// (schedule.dataflow.algorithm) depends on which family consumes them.
-    core::Algorithm algorithm = core::Algorithm::MinSum;
 };
 
 /// Slot-stream and port-drain rules over a plain-data schedule model

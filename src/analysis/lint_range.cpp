@@ -1,32 +1,15 @@
 #include "analysis/lint_range.hpp"
 
 #include <cmath>
-#include <cstdint>
-#include <limits>
 
 #include "core/mp_decoder.hpp"  // kMaxCheckDegree, the datapath buffer bound
 #include "util/math.hpp"
 
 namespace dvbs2::analysis {
 
-namespace {
-
-constexpr long long kWideCapacity = std::numeric_limits<std::int32_t>::max();
-
-/// Magnitude of the correction LUT at index 0 — its maximum, since
-/// log1p(exp(-x)) is decreasing. Mirrors BoxplusTable's construction.
-long long corr_peak(const quant::QuantSpec& spec) {
-    return static_cast<long long>(
-        std::nearbyint(std::log1p(1.0) / spec.step()));
-}
-
-}  // namespace
-
-RangeAnalysis analyze_fixed_point_range(const code::CodeParams& cp,
-                                        const core::DecoderConfig& cfg,
-                                        const quant::QuantSpec& spec) {
-    RangeAnalysis out;
-    Report& rep = out.report;
+Report lint_fixed_point(const code::CodeParams& cp, const core::DecoderConfig& cfg,
+                        const quant::QuantSpec& spec) {
+    Report rep;
     const std::string qloc = "quantizer " + std::to_string(spec.total_bits) + "." +
                              std::to_string(spec.frac_bits);
 
@@ -36,13 +19,13 @@ RangeAnalysis analyze_fixed_point_range(const code::CodeParams& cp,
         rep.add("range.quantizer-degenerate", Severity::Error, qloc,
                 "total width must be in [2, 31] (sign + magnitude inside a 32-bit lane)",
                 "the paper's design points are 6 and 5 bits");
-        return out;
+        return rep;
     }
     if (spec.frac_bits < 0 || spec.frac_bits >= spec.total_bits) {
         rep.add("range.quantizer-degenerate", Severity::Error, qloc,
                 "fractional bits must be in [0, total_bits)",
                 "kQuant6 uses 2 fractional bits");
-        return out;
+        return rep;
     }
     if (cfg.rule == core::CheckRule::Exact && spec.total_bits > 16)
         rep.add("range.quantizer-degenerate", Severity::Error, qloc,
@@ -67,57 +50,9 @@ RangeAnalysis analyze_fixed_point_range(const code::CodeParams& cp,
                     std::to_string(core::kMaxCheckDegree),
                 "raise core::kMaxCheckDegree with the hardware FU depth");
 
-    // --- algorithm scope gate ---
-    // The stage table below hand-models the MIN-SUM datapath (Eq. 4 sums,
-    // zigzag adds, the check combine/finalize). Running it for another
-    // algorithm would report a clean bill for stages that decoder does not
-    // even have; route those configs to the IR-level certifier instead of
-    // silently assuming min-sum.
-    if (cfg.algorithm != core::Algorithm::MinSum) {
-        rep.add("range.algorithm-scope", Severity::Note, qloc,
-                std::string("the legacy stage table models the min-sum datapath only; "
-                            "algorithm=") +
-                    core::to_string(cfg.algorithm) +
-                    " is certified per-event by the range.ir.* family",
-                "see range.ir.certificate / range.ir.overflow for the verdict");
-        return out;
-    }
-
-    // --- worst-case interval propagation ---
-    // Every exchanged message and channel value is saturated to R = max_raw,
-    // so R is the interval bound entering each stage; stages then grow it by
-    // the stage's arithmetic before the next saturation point.
-    const long long R = spec.max_raw();
-    int deg_max = cp.deg_hi > cp.deg_lo ? cp.deg_hi : cp.deg_lo;
-    if (deg_max < 2) deg_max = 2;
-
-    const auto stage = [&](std::string name, long long worst, long long cap) {
-        out.stages.push_back({std::move(name), worst, cap});
-    };
-    stage("channel-quantize", R, R);
-    // Eq. 4: total = ch + sum of deg c2v messages in the wide accumulator.
-    stage("vn-accumulate", (static_cast<long long>(deg_max) + 1) * R, kWideCapacity);
-    // Extrinsic extraction subtracts one message from the total.
-    stage("vn-extrinsic", (static_cast<long long>(deg_max) + 2) * R, kWideCapacity);
-    // Zigzag chain input ch_p + d_{j-1} (and the two-phase parity update).
-    stage("zigzag-chain-add", 2 * R, kWideCapacity);
-    // Posterior of a parity bit: ch + down + up.
-    stage("parity-posterior", 3 * R, kWideCapacity);
-    if (cfg.schedule == core::Schedule::Layered) {
-        // Layered totals carry ch + deg messages; gathering subtracts one.
-        stage("layered-posterior", (static_cast<long long>(deg_max) + 1) * R, kWideCapacity);
-        stage("layered-gather", (static_cast<long long>(deg_max) + 2) * R, kWideCapacity);
-    }
-    // Check-node pairwise combine before its saturation: min(|a|,|b|) plus
-    // the correction terms for the exact rule, plain min for min-sum.
-    const bool exact = cfg.rule == core::CheckRule::Exact;
-    stage("cn-combine", exact ? R + corr_peak(spec) : R, kWideCapacity);
-
     const long long norm_num = std::lround(cfg.normalization * 16.0);
     if (cfg.rule == core::CheckRule::NormalizedMinSum) {
         // finalize: (v*norm_num + 8) >> 4, saturated afterwards.
-        stage("finalize-normalize", R * (norm_num < 0 ? -norm_num : norm_num) + 8,
-              kWideCapacity);
         if (norm_num <= 0)
             rep.add("range.norm-degenerate", Severity::Error, "normalization",
                     "factor " + std::to_string(cfg.normalization) +
@@ -131,9 +66,6 @@ RangeAnalysis analyze_fixed_point_range(const code::CodeParams& cp,
     }
     if (cfg.rule == core::CheckRule::OffsetMinSum) {
         const quant::QLLR off = quant::quantize(cfg.offset, spec);
-        // finalize: |v| - off, NOT saturated on the way out — a negative
-        // offset grows magnitudes beyond the message range.
-        stage("finalize-offset", R - static_cast<long long>(off), R);
         if (off >= spec.max_raw())
             rep.add("range.offset-saturation", Severity::Error, "offset",
                     "offset " + std::to_string(cfg.offset) + " quantizes to " +
@@ -143,19 +75,7 @@ RangeAnalysis analyze_fixed_point_range(const code::CodeParams& cp,
                         std::to_string(spec.max_value()));
     }
 
-    for (const RangeStage& s : out.stages) {
-        if (!s.fits())
-            rep.add("range.accumulator-overflow", Severity::Error, "stage " + s.stage,
-                    "worst-case magnitude " + std::to_string(s.worst_magnitude) +
-                        " exceeds the stage capacity " + std::to_string(s.capacity),
-                    "narrow the message quantizer or lower the maximum node degree");
-    }
-    return out;
-}
-
-Report lint_fixed_point(const code::CodeParams& params, const core::DecoderConfig& cfg,
-                        const quant::QuantSpec& spec) {
-    return analyze_fixed_point_range(params, cfg, spec).report;
+    return rep;
 }
 
 }  // namespace dvbs2::analysis

@@ -1,41 +1,13 @@
 #include "analysis/lint_range_ir.hpp"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 #include <ostream>
 #include <string>
 
-#include "analysis/ir/analyses.hpp"
 #include "analysis/ir/ir.hpp"
-#include "analysis/lint_range.hpp"
-#include "core/rhs_decoder.hpp"  // kRhsCmax
-#include "util/math.hpp"         // kLlrClamp
+#include "core/engine.hpp"  // absint_spec_of
 
 namespace dvbs2::analysis {
-
-ir::AbsintSpec absint_spec_for(const core::DecoderConfig& cfg, const quant::QuantSpec& spec) {
-    // Mirrors core/engine.cpp's absint_spec_of exactly (pinned against
-    // core::engine_range_certificate by tests/test_absint.cpp), so a lint
-    // verdict and an engine-construction verdict can never diverge.
-    ir::AbsintSpec a;
-    a.algorithm = cfg.algorithm;
-    a.rule = cfg.rule;
-    a.max_raw = spec.max_raw();
-    a.channel_clamp = cfg.algorithm == core::Algorithm::RhsBp
-                          ? std::llround(std::ceil(util::kLlrClamp / spec.step()))
-                          : a.max_raw;
-    a.corr_peak = cfg.rule == core::CheckRule::Exact
-                      ? std::llround(std::nearbyint(std::log1p(1.0) / spec.step()))
-                      : 0;
-    a.wide_capacity = std::numeric_limits<std::int32_t>::max();
-    a.norm_num = std::llround(cfg.normalization * 16.0);
-    a.offset_raw = cfg.rule == core::CheckRule::OffsetMinSum
-                       ? std::llround(cfg.offset / spec.step())
-                       : 0;
-    a.wbf_alpha = cfg.wbf_alpha;
-    a.rhs_cmax_raw = std::llround(std::ceil(core::kRhsCmax / spec.step()));
-    return a;
-}
 
 ir::TraceDims range_trace_dims(const code::CodeParams& cp) {
     // The scaled model dims every IR analysis runs at (P=4, q=3), carrying
@@ -76,8 +48,7 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& cp, const core::Decoder
     Report& rep = out.report;
     const std::string loc = "quantizer " + std::to_string(spec.total_bits) + "." +
                             std::to_string(spec.frac_bits) + " schedule=" +
-                            core::to_string(cfg.schedule) + " algorithm=" +
-                            core::to_string(cfg.algorithm);
+                            core::to_string(cfg.schedule);
 
     // Outside the certifiable space the step()/max_raw() arithmetic below
     // is meaningless; range.quantizer-degenerate already carries the error.
@@ -89,18 +60,7 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& cp, const core::Decoder
         return out;
     }
 
-    // No datapath exists for an algorithm x schedule combination the IR
-    // layer rejects; engine validation refuses it with the same obstruction.
-    const ir::AlgorithmClass& alg = ir::classify_algorithm(cfg.algorithm);
-    if (!alg.supports(cfg.schedule)) {
-        rep.add("range.ir.schedule", Severity::Note, loc,
-                "algorithm cannot run this schedule (" + alg.obstruction(cfg.schedule) +
-                    "); nothing to certify",
-                "validate_engine_spec rejects the combination with the same obstruction");
-        return out;
-    }
-
-    const ir::AbsintSpec aspec = absint_spec_for(cfg, spec);
+    const ir::AbsintSpec aspec = core::absint_spec_of(cfg, spec);
     const ir::Trace trace = ir::build_schedule_trace(cfg.schedule, range_trace_dims(cp));
     out.certificate = ir::certify_ranges(trace, aspec);
     const ir::RangeCertificate& cert = *out.certificate;
@@ -135,32 +95,6 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& cp, const core::Decoder
                     std::to_string(cert.widenings) + " widenings)",
                 "");
     }
-
-    // Cross-check tier: the legacy hand-maintained stage table. For min-sum
-    // it must agree with the certificate (subsumption contract); for the
-    // other tiers it is algorithm-blind by design and defers to this family.
-    if (cfg.algorithm == core::Algorithm::MinSum) {
-        const RangeAnalysis legacy = analyze_fixed_point_range(cp, cfg, spec);
-        const bool legacy_overflow = !legacy.report.by_rule("range.accumulator-overflow").empty();
-        if (legacy_overflow == !cert.ok) {
-            rep.add("range.ir.legacy", Severity::Note, loc,
-                    std::string("legacy range.* stage table agrees: ") +
-                        (cert.ok ? "both clean" : "both overflow"),
-                    "");
-        } else {
-            rep.add("range.ir.legacy", Severity::Error, loc,
-                    std::string("verdict diverges from the legacy stage table: certificate ") +
-                        (cert.ok ? "clean" : "overflow") + " but legacy " +
-                        (legacy_overflow ? "overflow" : "clean"),
-                    "report this as an analyzer defect; the two families must agree on "
-                    "the min-sum datapath");
-        }
-    } else {
-        rep.add("range.ir.legacy", Severity::Note, loc,
-                std::string("legacy range.* family is algorithm-blind for ") +
-                    core::to_string(cfg.algorithm) + "; this certificate is the sole verdict",
-                "");
-    }
     return out;
 }
 
@@ -173,7 +107,7 @@ void render_certificate_json(std::ostream& os, const std::string& target,
                              const core::DecoderConfig& cfg, const quant::QuantSpec& spec,
                              const RangeIrAnalysis& analysis) {
     os << "{\"target\": \"" << target << "\", \"schedule\": \"" << core::to_string(cfg.schedule)
-       << "\", \"algorithm\": \"" << core::to_string(cfg.algorithm) << "\", \"quant\": \""
+       << "\", \"rule\": \"" << core::to_string(cfg.rule) << "\", \"quant\": \""
        << spec.total_bits << "." << spec.frac_bits << "\"";
     if (!analysis.certificate) {
         os << ", \"certified\": false}";

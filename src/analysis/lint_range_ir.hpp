@@ -1,18 +1,17 @@
 // Rule family `range.ir.*`: per-event fixed-point range certification over
-// the schedule dataflow IR (analysis/ir/absint.hpp), for all three
-// algorithm tiers.
+// the schedule dataflow IR (analysis/ir/absint.hpp), the one range
+// authority of the decoder datapath.
 //
-// Where the legacy `range.*` family checks a hand-maintained min-sum stage
-// table, this family compiles the configured schedule to its Def/Use/Sink
-// event trace, runs the interval-domain abstract interpreter over it with
-// the algorithm's transfer functions, and reports the machine-checked
-// RangeCertificate: per-storage-space and per-stage proven bounds, verified
-// independently by check_range_certificate before any verdict is derived.
-// The trace dims carry the linted code's worst-case degrees (its check
-// in-degree and one information node of its deg_hi), so the certificate
-// covers the concrete code; the quantizer and decoder knobs translate to
-// the AbsintSpec exactly as core::engine_range_certificate translates them,
-// keeping lint verdicts and engine-construction verdicts aligned.
+// The family compiles the configured schedule to its Def/Use/Sink event
+// trace, runs the interval-domain abstract interpreter over it, and reports
+// the machine-checked RangeCertificate: per-storage-space and per-stage
+// proven bounds, verified independently by check_range_certificate before
+// any verdict is derived. The trace dims carry the linted code's worst-case
+// degrees (its check in-degree and one information node of its deg_hi), so
+// the certificate covers the concrete code; the quantizer and decoder knobs
+// translate to the AbsintSpec through core::absint_spec_of, the derivation
+// core::engine_range_certificate uses, so lint verdicts and
+// engine-construction verdicts cannot diverge.
 //
 // Rules:
 //   range.ir.certificate   (note) checker-accepted certificate: the proven
@@ -22,13 +21,8 @@
 //   range.ir.checker       (error) the independent checker rejected the
 //                          interpreter's certificate (analyzer defect —
 //                          surfaced loudly, never silently trusted)
-//   range.ir.schedule      (note) the algorithm cannot run the configured
-//                          schedule, so no datapath exists to certify
 //   range.ir.quantizer     (note) quantizer outside the certifiable space;
 //                          see range.quantizer-degenerate for the error
-//   range.ir.legacy        (note/error) cross-check against the legacy
-//                          min-sum stage table: note when subsumed, error
-//                          on a verdict divergence
 #pragma once
 
 #include <iosfwd>
@@ -50,11 +44,6 @@ struct RangeIrAnalysis {
     Report report;
 };
 
-/// The AbsintSpec this family (and core::engine_range_certificate) derives
-/// from a decoder config and quantizer — exposed so tests can pin the two
-/// paths against each other.
-ir::AbsintSpec absint_spec_for(const core::DecoderConfig& cfg, const quant::QuantSpec& spec);
-
 /// The scaled-model trace dims carrying `params`' worst-case degrees.
 ir::TraceDims range_trace_dims(const code::CodeParams& params);
 
@@ -69,7 +58,7 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& params, const core::Dec
 Report lint_range_ir(const code::CodeParams& params, const core::DecoderConfig& cfg,
                      const quant::QuantSpec& spec);
 
-/// Renders one analysis as a JSON object (schedule, algorithm, quantizer,
+/// Renders one analysis as a JSON object (schedule, rule, quantizer,
 /// verdicts, space bounds, stage table, offender) — the payload behind
 /// `dvbs2_lint --range-cert-json`.
 void render_certificate_json(std::ostream& os, const std::string& target,

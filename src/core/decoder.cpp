@@ -6,15 +6,6 @@
 
 namespace dvbs2::core {
 
-const char* to_string(Algorithm a) {
-    switch (a) {
-        case Algorithm::MinSum: return "min-sum";
-        case Algorithm::Wbf: return "wbf";
-        case Algorithm::RhsBp: return "rhs-bp";
-    }
-    return "?";
-}
-
 const char* to_string(Schedule s) {
     switch (s) {
         case Schedule::TwoPhase: return "two-phase";

@@ -1,9 +1,9 @@
 // Unified decoder-engine layer: central validation, the Engine base (span
 // checks, channel staging, telemetry), one scalar adapter template that
-// serves the five scalar engines, the SIMD engine, and the fixed table of
-// the six built-in engines make_engine picks from. The public
-// Decoder/FixedDecoder classes are thin wrappers over make_engine (see
-// decoder.cpp).
+// serves the float and fixed scalar engines, the SIMD engine, and
+// make_engine, which picks one of the three from (arithmetic, backend). The
+// public Decoder/FixedDecoder classes are thin wrappers over make_engine
+// (see decoder.cpp).
 #include "core/engine.hpp"
 
 #include <algorithm>
@@ -21,19 +21,12 @@
 #include "code/params.hpp"
 #include "core/arith.hpp"
 #include "core/mp_decoder.hpp"
-#include "core/rhs_decoder.hpp"
 #include "core/simd/batch_decoder.hpp"
 #include "core/simd/simd_decoder.hpp"
-#include "core/wbf_decoder.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 
 namespace dvbs2::core {
-
-std::string to_string(const EngineKey& key) {
-    return std::string("algorithm=") + to_string(key.algorithm) +
-           " arithmetic=" + to_string(key.arith) + " backend=" + to_string(key.backend);
-}
 
 // ------------------------------------------------------------- validation
 
@@ -43,9 +36,9 @@ namespace {
 /// model dims every IR analysis runs at (P=4, q=3), carrying the WORST-CASE
 /// degrees over all shipped long-frame rates — the largest check in-degree
 /// and an information node of the largest deg_hi — so one certificate per
-/// (algorithm, schedule, datapath numbers) covers every standard code. The
-/// abstract bounds grow only with per-firing fan-in (vn sums, flip metrics),
-/// never with m or N, so the envelope dominates the full-size codes.
+/// (schedule, datapath numbers) covers every standard code. The abstract
+/// bounds grow only with per-firing fan-in (vn sums), never with m or N, so
+/// the envelope dominates the full-size codes.
 const analysis::ir::TraceDims& range_envelope_dims() {
     static const analysis::ir::TraceDims dims = [] {
         int max_kc = 2;
@@ -70,48 +63,33 @@ const analysis::ir::TraceDims& range_envelope_dims() {
     return dims;
 }
 
-/// Translates the spec's quantizer and knobs into the IR layer's numeric
-/// datapath description (raw units of the quantizer step).
-analysis::ir::AbsintSpec absint_spec_of(const EngineSpec& spec) {
-    const DecoderConfig& c = spec.config;
+}  // namespace
+
+analysis::ir::AbsintSpec absint_spec_of(const DecoderConfig& cfg, const quant::QuantSpec& q) {
     analysis::ir::AbsintSpec a;
-    a.algorithm = c.algorithm;
-    a.rule = c.rule;
-    a.max_raw = spec.quant.max_raw();
-    // fixed tiers quantize the channel at the word bound; the RHS-BP tier
-    // stores doubles, so its channel carries the repo-wide LLR clamp
-    a.channel_clamp = c.algorithm == Algorithm::RhsBp
-                          ? std::llround(std::ceil(util::kLlrClamp / spec.quant.step()))
-                          : a.max_raw;
-    a.corr_peak = c.rule == CheckRule::Exact
-                      ? std::llround(std::nearbyint(std::log1p(1.0) / spec.quant.step()))
+    a.rule = cfg.rule;
+    a.max_raw = q.max_raw();
+    a.channel_clamp = a.max_raw;  // the channel is quantized at the word bound
+    a.corr_peak = cfg.rule == CheckRule::Exact
+                      ? std::llround(std::nearbyint(std::log1p(1.0) / q.step()))
                       : 0;
     a.wide_capacity = std::numeric_limits<std::int32_t>::max();
-    a.norm_num = std::llround(c.normalization * 16.0);
-    a.offset_raw = c.rule == CheckRule::OffsetMinSum
-                       ? std::llround(c.offset / spec.quant.step())
-                       : 0;
-    a.wbf_alpha = c.wbf_alpha;
-    a.rhs_cmax_raw = std::llround(std::ceil(kRhsCmax / spec.quant.step()));
+    a.norm_num = std::llround(cfg.normalization * 16.0);
+    a.offset_raw =
+        cfg.rule == CheckRule::OffsetMinSum ? std::llround(cfg.offset / q.step()) : 0;
     return a;
 }
 
-}  // namespace
-
 analysis::ir::RangeCertificate engine_range_certificate(const EngineSpec& spec) {
-    const analysis::ir::AbsintSpec a = absint_spec_of(spec);
-    using Key = std::tuple<int, int, int, long long, long long, long long, long long, long long,
-                           long long, long long>;
-    const Key key{static_cast<int>(a.algorithm),
-                  static_cast<int>(a.rule),
+    const analysis::ir::AbsintSpec a = absint_spec_of(spec.config, spec.quant);
+    using Key = std::tuple<int, int, long long, long long, long long, long long, long long>;
+    const Key key{static_cast<int>(a.rule),
                   static_cast<int>(spec.config.schedule),
                   a.max_raw,
                   a.channel_clamp,
                   a.corr_peak,
                   a.norm_num,
-                  a.offset_raw,
-                  std::llround(a.wbf_alpha * 1e9),
-                  a.rhs_cmax_raw};
+                  a.offset_raw};
     static std::mutex mu;
     static std::map<Key, analysis::ir::RangeCertificate>& cache =
         *new std::map<Key, analysis::ir::RangeCertificate>();
@@ -143,38 +121,6 @@ void validate_engine_spec(const EngineSpec& spec) {
     if (c.rule == CheckRule::OffsetMinSum)
         DVBS2_REQUIRE(c.offset >= 0.0, "offset must be non-negative for rule=offset-min-sum, "
                                        "got " + std::to_string(c.offset));
-    if (c.algorithm == Algorithm::Wbf) {
-        DVBS2_REQUIRE(c.wbf_alpha > 0.0,
-                      "wbf_alpha must be positive for algorithm=wbf (alpha=0 drops the "
-                      "reliability term and degenerates the flip metric to plain Gallager "
-                      "check counting), got " + std::to_string(c.wbf_alpha));
-        DVBS2_REQUIRE(c.wbf_theta >= 1e-6 && c.wbf_theta <= 1.0,
-                      "wbf_theta must be in [1e-6, 1] for algorithm=wbf (1 = single-bit "
-                      "flips; a smaller threshold flips every positive-metric bit at once "
-                      "and oscillates), got " + std::to_string(c.wbf_theta));
-        DVBS2_REQUIRE(c.wbf_surrender > 0.0 && c.wbf_surrender < 1.0,
-                      "wbf_surrender must be in (0, 1) for algorithm=wbf (fraction of "
-                      "checks; surrender=1 means the gate waits for MORE than every check "
-                      "to fail and never fires), got " + std::to_string(c.wbf_surrender));
-    }
-    if (c.algorithm == Algorithm::RhsBp)
-        DVBS2_REQUIRE(c.rhs_beta >= 1e-6 && c.rhs_beta < 1.0,
-                      "rhs_beta must be in [1e-6, 1) for algorithm=rhs-bp (beta=1 removes "
-                      "the tracker memory entirely — t copies the instantaneous sign and "
-                      "the decoder degenerates to hard-decision gossip; beta below 1e-6 "
-                      "freezes the trackers at their initial state), got " +
-                          std::to_string(c.rhs_beta));
-    // Algorithm × (schedule, backend) legality is derived by the IR layer
-    // (analysis::ir::classify_algorithm), not hardcoded here: the verdicts
-    // come from the same trace analyses that certify the lane mappings.
-    const auto& alg = analysis::ir::classify_algorithm(c.algorithm);
-    DVBS2_REQUIRE(alg.supports(c.schedule),
-                  std::string("algorithm=") + to_string(c.algorithm) + " cannot run schedule=" +
-                      to_string(c.schedule) + ": " + alg.obstruction(c.schedule));
-    if (c.backend == DecoderBackend::Simd)
-        DVBS2_REQUIRE(alg.simd_supported, std::string("algorithm=") + to_string(c.algorithm) +
-                                              " cannot run backend=simd: " +
-                                              alg.simd_obstruction);
     if (spec.arith == Arithmetic::Float) {
         DVBS2_REQUIRE(c.backend != DecoderBackend::Simd,
                       "backend=simd models the fixed-point datapath only; "
@@ -218,8 +164,8 @@ void validate_engine_spec(const EngineSpec& spec) {
         if (!cert.ok) {
             const analysis::ir::Trace trace =
                 analysis::ir::build_schedule_trace(c.schedule, range_envelope_dims());
-            std::string what = std::string("quantization overflows the ") +
-                               to_string(c.algorithm) + " datapath: " + cert.offender_stage;
+            std::string what =
+                "quantization overflows the min-sum datapath: " + cert.offender_stage;
             if (cert.first_offender >= 0)
                 what += ", first at " +
                         analysis::ir::describe_event(
@@ -368,8 +314,7 @@ namespace {
 
 /// The correction table the fixed Exact min-sum datapath points into.
 std::optional<quant::BoxplusTable> exact_table(const EngineSpec& spec) {
-    if (spec.arith == Arithmetic::Fixed && spec.config.algorithm == Algorithm::MinSum &&
-        spec.config.rule == CheckRule::Exact)
+    if (spec.arith == Arithmetic::Fixed && spec.config.rule == CheckRule::Exact)
         return quant::BoxplusTable(spec.quant);
     return std::nullopt;
 }
@@ -379,9 +324,9 @@ FixedArith fixed_arith(const EngineSpec& spec, const std::optional<quant::Boxplu
     return FixedArith(c.rule, spec.quant, table ? &*table : nullptr, c.normalization, c.offset);
 }
 
-/// The scalar engines: one decoder of type Dec fed staged frames of Word
-/// (double for float engines, quant::QLLR for fixed ones).
-template <class Dec, class Word>
+/// The scalar engines: one MpDecoder<Arith> fed staged frames of
+/// Arith::Value (double for float engines, quant::QLLR for fixed ones).
+template <class Arith>
 class ScalarEngine final : public Engine {
 public:
     ScalarEngine(const code::Dvbs2Code& code, const EngineSpec& spec, const char* name)
@@ -396,16 +341,11 @@ public:
 
     std::string backend_name() const override { return name_; }
 
-    void set_cn_order(std::vector<int> order) override {
-        if constexpr (requires { dec_.set_cn_order(std::move(order)); })
-            dec_.set_cn_order(std::move(order));
-        else
-            Engine::set_cn_order(std::move(order));
-    }
+    void set_cn_order(std::vector<int> order) override { dec_.set_cn_order(std::move(order)); }
 
     std::vector<quant::QLLR> run_and_dump_c2v(std::span<const quant::QLLR> qllr,
                                               int iters) override {
-        if constexpr (std::is_same_v<Dec, MpDecoder<FixedArith>>) {
+        if constexpr (std::is_same_v<Arith, FixedArith>) {
             dec_.run_iterations(qllr, iters);
             return dec_.c2v_messages();
         } else {
@@ -415,25 +355,24 @@ public:
 
 protected:
     using Engine::decode_staged;
-    void decode_staged(std::span<const Word> words, DecodeResult& out) override {
+    void decode_staged(std::span<const typename Arith::Value> words,
+                       DecodeResult& out) override {
         dec_.decode_into(words, out);
     }
 
 private:
-    static Dec build(const code::Dvbs2Code& code, const EngineSpec& spec,
-                     const std::optional<quant::BoxplusTable>& table) {
+    static MpDecoder<Arith> build(const code::Dvbs2Code& code, const EngineSpec& spec,
+                                  const std::optional<quant::BoxplusTable>& table) {
         const DecoderConfig& c = spec.config;
-        if constexpr (std::is_same_v<Dec, MpDecoder<FloatArith>>)
-            return Dec(code, c, FloatArith(c.rule, c.normalization, c.offset));
-        else if constexpr (std::is_same_v<Dec, MpDecoder<FixedArith>>)
-            return Dec(code, c, fixed_arith(spec, table));
+        if constexpr (std::is_same_v<Arith, FloatArith>)
+            return MpDecoder<Arith>(code, c, FloatArith(c.rule, c.normalization, c.offset));
         else
-            return Dec(code, c);
+            return MpDecoder<Arith>(code, c, fixed_arith(spec, table));
     }
 
     const char* name_;
     std::optional<quant::BoxplusTable> table_;  // before dec_, which points into it
-    Dec dec_;
+    MpDecoder<Arith> dec_;
 };
 
 /// Fixed-point SIMD engine. Batches run frame-per-lane (lane = frame) unless
@@ -541,62 +480,15 @@ private:
     bool has_observer_ = false;
 };
 
-// ------------------------------------------------------------ engine table
-
-struct BuiltinEngine {
-    EngineKey key;
-    const char* name;
-    std::unique_ptr<Engine> (*build)(const code::Dvbs2Code&, const EngineSpec&, const char*);
-};
-
-template <class E>
-std::unique_ptr<Engine> build_engine(const code::Dvbs2Code& code, const EngineSpec& spec,
-                                     const char* name) {
-    return std::make_unique<E>(code, spec, name);
-}
-
-constexpr BuiltinEngine kEngines[] = {
-    {{Algorithm::MinSum, Arithmetic::Float, DecoderBackend::Scalar}, "float-scalar",
-     &build_engine<ScalarEngine<MpDecoder<FloatArith>, double>>},
-    {{Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Scalar}, "fixed-scalar",
-     &build_engine<ScalarEngine<MpDecoder<FixedArith>, quant::QLLR>>},
-    {{Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Simd}, "fixed-simd",
-     &build_engine<SimdEngine>},
-    {{Algorithm::Wbf, Arithmetic::Float, DecoderBackend::Scalar}, "wbf-float-scalar",
-     &build_engine<ScalarEngine<WbfDecoder<double>, double>>},
-    {{Algorithm::Wbf, Arithmetic::Fixed, DecoderBackend::Scalar}, "wbf-fixed-scalar",
-     &build_engine<ScalarEngine<WbfDecoder<quant::QLLR>, quant::QLLR>>},
-    {{Algorithm::RhsBp, Arithmetic::Float, DecoderBackend::Scalar}, "rhs-float-scalar",
-     &build_engine<ScalarEngine<RhsBpDecoder, double>>},
-};
-static_assert(std::is_sorted(std::begin(kEngines), std::end(kEngines),
-                             [](const BuiltinEngine& a, const BuiltinEngine& b) {
-                                 return a.key < b.key;
-                             }),
-              "registered_engines() reports the table in key order");
-
-const BuiltinEngine* find_engine(const EngineKey& key) {
-    for (const BuiltinEngine& e : kEngines)
-        if (e.key == key) return &e;
-    return nullptr;
-}
-
 }  // namespace
-
-bool engine_registered(const EngineKey& key) { return find_engine(key) != nullptr; }
-
-std::vector<EngineKey> registered_engines() {
-    std::vector<EngineKey> keys;
-    for (const BuiltinEngine& e : kEngines) keys.push_back(e.key);
-    return keys;
-}
 
 std::unique_ptr<Engine> make_engine(const code::Dvbs2Code& code, const EngineSpec& spec) {
     validate_engine_spec(spec);
-    const EngineKey key = engine_key(spec);
-    const BuiltinEngine* engine = find_engine(key);
-    DVBS2_REQUIRE(engine != nullptr, "no engine registered for " + to_string(key));
-    return engine->build(code, spec, engine->name);
+    if (spec.arith == Arithmetic::Float)  // validation admits only the scalar backend
+        return std::make_unique<ScalarEngine<FloatArith>>(code, spec, "float-scalar");
+    if (spec.config.backend == DecoderBackend::Simd)
+        return std::make_unique<SimdEngine>(code, spec, "fixed-simd");
+    return std::make_unique<ScalarEngine<FixedArith>>(code, spec, "fixed-scalar");
 }
 
 }  // namespace dvbs2::core

@@ -1,18 +1,16 @@
 // Unified decoder-engine layer.
 //
 // `core::Engine` is the one type-erased interface every decode backend
-// implements: the min-sum message-passing family (floating-point reference,
-// scalar fixed-point datapath model, SIMD group-parallel and frame-per-lane
-// backends), the weighted-bit-flipping decoder, and the relaxed
-// half-stochastic BP decoder all sit behind it, and every consumer — the
-// Monte-Carlo harness, the examples, the benches, the streaming service —
-// talks to this interface only. Engines are built by `make_engine` from a
-// fixed table of six built-in engines keyed by (Algorithm, Arithmetic,
-// DecoderBackend); the full EngineSpec (schedule, rule, quantization, lane
-// mode, per-algorithm knobs) parameterizes the built instance and is
-// validated centrally by validate_engine_spec before any engine is built,
-// so illegal combinations fail in one place with a diagnostic naming the
-// offending option.
+// implements: the paper's message-passing decoder as the floating-point
+// reference, the scalar fixed-point datapath model and the SIMD fixed-point
+// engine (group-parallel and frame-per-lane lane mappings). Every consumer —
+// the Monte-Carlo harness, the examples, the benches, the streaming service
+// — talks to this interface only. `make_engine` builds one of the three
+// from the spec's (Arithmetic, DecoderBackend); the full EngineSpec
+// (schedule, rule, quantization, lane mode) parameterizes the built
+// instance and is validated centrally by validate_engine_spec before any
+// engine is built, so illegal combinations fail in one place with a
+// diagnostic naming the offending option.
 //
 // The base class owns everything the engines share: the spec, the frame
 // length, channel staging and the convergence telemetry. Its non-virtual
@@ -66,15 +64,22 @@ struct EngineSpec {
 /// decides legality.
 void validate_engine_spec(const EngineSpec& spec);
 
+/// The IR layer's numeric description of the fixed-point datapath `cfg`
+/// runs with messages quantized by `q` (raw units of the quantizer step).
+/// The one derivation behind engine_range_certificate and the range.ir.*
+/// lint family, so lint verdicts and engine-construction verdicts cannot
+/// diverge.
+analysis::ir::AbsintSpec absint_spec_of(const DecoderConfig& cfg, const quant::QuantSpec& q);
+
 /// The per-event range certificate validate_engine_spec consults for
 /// fixed-arithmetic specs: the abstract interpreter's proven bounds for the
-/// spec's (algorithm, schedule, quantizer) over the family-envelope trace
-/// dims (worst-case degrees over every shipped long-frame rate, so one
+/// spec's (schedule, rule, quantizer) over the family-envelope trace dims
+/// (worst-case degrees over every shipped long-frame rate, so one
 /// certificate covers all standard codes). Always returned checker-verified
 /// (check_range_certificate accepted it); cached per datapath key, so
-/// repeated engine construction certifies once. Works for any legal
-/// schedule/algorithm combination regardless of the quantizer width —
-/// `ok == false` certificates name the first overflowing event.
+/// repeated engine construction certifies once. Works for any schedule
+/// regardless of the quantizer width — `ok == false` certificates name the
+/// first overflowing event.
 analysis::ir::RangeCertificate engine_range_certificate(const EngineSpec& spec);
 
 /// Type-erased decoder engine. All LLR spans use the channel sign
@@ -218,46 +223,10 @@ private:
     ConvergenceStats stats_;
 };
 
-/// Engine-table key: which built-in engine make_engine constructs.
-/// Schedule, rule, quantization and lane mode select behavior *within* a
-/// backend and travel in the EngineSpec; the algorithm family is part of
-/// the key because each family is a different decoder implementation.
-struct EngineKey {
-    Algorithm algorithm = Algorithm::MinSum;
-    Arithmetic arith = Arithmetic::Fixed;
-    DecoderBackend backend = DecoderBackend::Scalar;
-
-    friend constexpr bool operator==(const EngineKey&, const EngineKey&) = default;
-    /// Orders keys by (algorithm, arithmetic, backend) — the deterministic
-    /// order registered_engines() reports.
-    friend constexpr bool operator<(const EngineKey& a, const EngineKey& b) {
-        if (a.algorithm != b.algorithm) return a.algorithm < b.algorithm;
-        if (a.arith != b.arith) return a.arith < b.arith;
-        return a.backend < b.backend;
-    }
-};
-
-/// "algorithm=<a> arithmetic=<ar> backend=<b>" — the one rendering every
-/// engine-table/spec diagnostic uses, so errors always name the full key.
-std::string to_string(const EngineKey& key);
-
-/// The engine-table key an EngineSpec selects.
-inline EngineKey engine_key(const EngineSpec& spec) {
-    return EngineKey{spec.config.algorithm, spec.arith, spec.config.backend};
-}
-
-/// True iff `key` is one of the six built-in engines (min-sum:
-/// float-scalar, fixed-scalar, fixed-simd; WBF: float-scalar, fixed-scalar;
-/// RHS-BP: float-scalar).
-bool engine_registered(const EngineKey& key);
-
-/// The built-in keys, sorted by (algorithm, arithmetic, backend).
-std::vector<EngineKey> registered_engines();
-
-/// The factory: validates `spec` (validate_engine_spec), looks up the
-/// built-in engine for engine_key(spec) and builds it. Throws
-/// std::runtime_error on an invalid spec or a key with no engine; both
-/// diagnostics name the algorithm along with the rest of the key.
+/// The factory: validates `spec` (validate_engine_spec) and builds the
+/// engine its (arithmetic, backend) selects — float-scalar, fixed-scalar or
+/// fixed-simd. Throws std::runtime_error naming the offending option on an
+/// invalid spec.
 std::unique_ptr<Engine> make_engine(const code::Dvbs2Code& code, const EngineSpec& spec);
 
 }  // namespace dvbs2::core

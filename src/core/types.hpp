@@ -1,4 +1,8 @@
 // Public decoder types: schedules, check-node rules, configuration, result.
+// The library runs one decoding algorithm, the paper's message passing
+// (Eq. 4/5): the schedule orders the node updates, the check rule picks the
+// Eq. 5 combine (exact boxplus or a min-sum variant), and the arithmetic and
+// backend pick the engine that runs it (core/engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -78,63 +82,17 @@ enum class Arithmetic {
     Fixed,  ///< quantized integer LLRs — the hardware datapath model
 };
 
-/// Decoding algorithm family of an engine. The engine table
-/// (core/engine.hpp) is keyed by (Algorithm, Arithmetic, DecoderBackend);
-/// the analysis layer derives which schedules and lane modes each family
-/// supports (analysis/ir/analyses.hpp, classify_algorithm) instead of
-/// hardcoding the combinations.
-enum class Algorithm {
-    /// The message-passing family of core/mp_decoder.hpp (paper Eq. 4/5):
-    /// exact boxplus and the min-sum variants, selected by CheckRule.
-    /// Supports all five schedules and the SIMD backend.
-    MinSum,
-    /// Improved weighted bit flipping (PAPERS.md, "An Improved WBF Algorithm
-    /// for Higher-Speed Decoding of LDPC Codes"): hard-decision flipping
-    /// with soft reliability weights — an order of magnitude cheaper per
-    /// iteration than message passing, the low-latency tier for high-SNR
-    /// traffic. Flooding-only (the flip metric is a function of one whole
-    /// iteration's syndrome, so only single-level check phases apply).
-    Wbf,
-    /// Relaxed half-stochastic belief propagation (PAPERS.md,
-    /// Leduc-Primeau et al.): check nodes see stochastically binarized ±C
-    /// messages, variable nodes keep relaxed analog trackers. Follows the
-    /// message-passing trace shape, so it runs every MP schedule; the
-    /// binarization stream is counter-based (util::derive_stream), making
-    /// decodes bit-reproducible and thread-invariant.
-    RhsBp,
-};
-
 /// Decoder configuration. Defaults reproduce the paper's operating point:
 /// 30 iterations of the optimized zigzag schedule with the exact rule.
 struct DecoderConfig {
-    Algorithm algorithm = Algorithm::MinSum;
     Schedule schedule = Schedule::ZigzagForward;
-    CheckRule rule = CheckRule::Exact;  ///< Algorithm::MinSum only
+    CheckRule rule = CheckRule::Exact;
     DecoderBackend backend = DecoderBackend::Scalar;
     SimdLaneMode lane_mode = SimdLaneMode::Auto;  ///< Simd backend only
     int max_iterations = 30;
     bool early_stop = true;        ///< stop once the syndrome is satisfied
     double normalization = 0.75;   ///< NormalizedMinSum scale factor
     double offset = 0.5;           ///< OffsetMinSum magnitude offset (LLR units)
-
-    // --- Algorithm::Wbf knobs (ignored by the other families) ---
-    /// Reliability weight α of the flip metric E_n = Σ (2s_m−1)·w_{m,n} − α|y_n|.
-    double wbf_alpha = 0.2;
-    /// Parallel-flip threshold θ ∈ (0, 1]: every bit with E_n ≥ θ·max E is
-    /// flipped in one iteration (θ = 1 degenerates to single-bit WBF).
-    double wbf_theta = 0.9;
-    /// Surrender fraction ∈ (0, 1]: when more than this fraction of checks
-    /// is unsatisfied at iteration 0, the frame is outside WBF's operating
-    /// regime and the decoder fails fast (converged = false, 0 iterations)
-    /// so an SLA layer can reroute it to a message-passing tier.
-    double wbf_surrender = 0.125;
-
-    // --- Algorithm::RhsBp knobs (ignored by the other families) ---
-    /// Tracker relaxation factor β ∈ (0, 1]: T ← (1−β)·T + β·(±C).
-    double rhs_beta = 0.15;
-    /// Seed of the counter-based binarization stream (util::derive_stream);
-    /// a decode is a pure function of (LLRs, rhs_seed).
-    std::uint64_t rhs_seed = 0x5eedULL;
 };
 
 /// Decoding outcome.
@@ -211,7 +169,6 @@ struct IterationTrace {
     double mean_abs_posterior = 0.0;  ///< mean |posterior| in decoder units
 };
 
-const char* to_string(Algorithm a);
 const char* to_string(Schedule s);
 const char* to_string(CheckRule r);
 const char* to_string(DecoderBackend b);

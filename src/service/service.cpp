@@ -378,9 +378,9 @@ DecodeService::~DecodeService() { stop(); }
 
 ClassId DecodeService::add_class(const code::Dvbs2Code& code, core::EngineSpec spec) {
     core::validate_engine_spec(spec);
-    // Build one prototype engine now: a key with no engine or a build
-    // failure surfaces here, on the registering thread, with its own
-    // diagnostic — and the prototype tells us the class geometry.
+    // Build one prototype engine now: a build failure surfaces here, on the
+    // registering thread, with its own diagnostic — and the prototype tells
+    // us the class geometry.
     const auto proto = core::make_engine(code, spec);
     auto cs = std::make_unique<detail::ClassState>();
     cs->code = &code;

@@ -2,7 +2,7 @@
 //
 // The paper's IP core is a streaming device — frames arrive continuously
 // and the decoder must sustain rate under mixed traffic. This subsystem is
-// the software serving layer over the engine registry (core/engine.hpp),
+// the software serving layer over the engine layer (core/engine.hpp),
 // emulating in one process the shard/aggregate topology of the distributed
 // MPI-LDPC decoder in PAPERS.md (Gokalgandhi & Seskar): a bounded MPSC
 // frame queue plays the dispatcher rank, per-worker engine instances are
@@ -19,7 +19,7 @@
 //                      never starve
 //                               │
 //                               ▼
-//           N shard workers, one registry engine per (worker, class) —
+//           N shard workers, one engine per (worker, class) —
 //           engines are never shared across threads (single-writer
 //           contract, core/engine.hpp)
 //                               │
@@ -29,10 +29,9 @@
 //           via Engine::convergence_snapshot()
 //
 // A "class" is one (code, EngineSpec) combination — i.e. (rate, quant,
-// algorithm, schedule, backend): only frames of the same class can share a
+// schedule, check rule, backend): only frames of the same class can share a
 // SIMD lane block, so the class is the coalescing key, and two streams that
-// differ only in decoding algorithm land in distinct classes (the SLA
-// router in service/sla.hpp exploits exactly that). A "stream" is one
+// differ only in check rule land in distinct classes. A "stream" is one
 // tenant's ordered frame sequence within a class; thousands of streams may
 // share a class.
 //

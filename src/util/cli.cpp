@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/error.hpp"
-
 namespace dvbs2::util {
 
 long long parse_int(const std::string& text, const std::string& what) {
@@ -43,8 +41,8 @@ CliArgs::CliArgs(int argc, const char* const* argv, std::vector<std::string> all
         const std::string body = arg.substr(2);
         const auto eq = body.find('=');
         const std::string name = body.substr(0, eq);
-        DVBS2_REQUIRE(std::find(allowed.begin(), allowed.end(), name) != allowed.end(),
-                      "unknown option --" + name);
+        if (std::find(allowed.begin(), allowed.end(), name) == allowed.end())
+            throw std::runtime_error("unknown option --" + name);
         values_[name] = (eq == std::string::npos) ? std::string{} : body.substr(eq + 1);
     }
 }

@@ -1,27 +1,20 @@
 // Tests of the per-event fixed-point range certification (src/analysis/ir/
 // absint + src/analysis/lint_range_ir + core::engine_range_certificate):
 //
-//   * acceptance — for every legal (schedule, algorithm) pair and both
-//     registered quantizers the interpreter produces a certificate the
-//     independent checker accepts, with no lint error;
-//   * engine/lint alignment — the AbsintSpec the engine derives for a
-//     registered fixed spec matches absint_spec_for field-for-field, and
-//     validate_engine_spec rejects an overflowing quantizer naming the
-//     first offending trace event;
+//   * acceptance — for every schedule and both registered quantizers the
+//     interpreter produces a certificate the independent checker accepts,
+//     with no lint error;
+//   * engine verdicts — validate_engine_spec rejects an overflowing
+//     quantizer, and the lint family names the first offending trace event;
 //   * checker negatives — corrupting a certificate's stored-word claim or
 //     a space bound is caught, and the rejection names the event;
 //   * witness tier — the concretized adversarial channel drives the REAL
-//     fixed decoder of each algorithm to the certified per-space peaks
-//     bit-exactly (tight) and never beyond them (sound), with a
-//     core::RangeProbe reading the pre-saturation accumulator peaks;
-//   * legacy subsumption — over every long-frame rate and schedule the
-//     min-sum verdict of the legacy range.* stage table and the range.ir.*
-//     certifier agree (no config flips legality), and non-min-sum configs
-//     are routed to the certifier via range.algorithm-scope instead of
-//     being silently analyzed as min-sum;
+//     fixed decoder to the certified per-space peaks bit-exactly (tight)
+//     and never beyond them (sound), with a core::RangeProbe reading the
+//     pre-saturation accumulator peaks;
 //   * golden witness pins — the concretized witness recipes at the
-//     canonical trace dims are digest-pinned for all fifteen
-//     schedule x algorithm combinations (golden_range_witness_pins.inc).
+//     canonical trace dims are digest-pinned for all five schedules
+//     (golden_range_witness_pins.inc).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,16 +24,11 @@
 #include <vector>
 
 #include "analysis/ir/absint.hpp"
-#include "analysis/ir/analyses.hpp"
-#include "analysis/lint_range.hpp"
 #include "analysis/lint_range_ir.hpp"
-#include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "core/arith.hpp"
 #include "core/engine.hpp"
 #include "core/mp_decoder.hpp"
-#include "core/rhs_decoder.hpp"
-#include "core/wbf_decoder.hpp"
 #include "quant/fixed.hpp"
 
 namespace an = dvbs2::analysis;
@@ -54,8 +42,6 @@ namespace {
 constexpr dd::Schedule kAllSchedules[] = {
     dd::Schedule::TwoPhase, dd::Schedule::ZigzagForward, dd::Schedule::ZigzagSegmented,
     dd::Schedule::ZigzagMap, dd::Schedule::Layered};
-constexpr dd::Algorithm kAllAlgorithms[] = {dd::Algorithm::MinSum, dd::Algorithm::Wbf,
-                                            dd::Algorithm::RhsBp};
 
 const dc::Dvbs2Code& toy_code() {
     static const dc::Dvbs2Code code(dc::toy_params(12, 7, 2, 6, 3));
@@ -65,9 +51,8 @@ const dc::Dvbs2Code& toy_code() {
 /// Decoder config the certification tests pin: a min-sum-family rule that
 /// needs no boxplus LUT, no early stop (the witness decodes must run their
 /// full budget so the posteriors of the final iteration are inspectable).
-dd::DecoderConfig cert_config(dd::Algorithm algorithm, dd::Schedule schedule) {
+dd::DecoderConfig cert_config(dd::Schedule schedule) {
     dd::DecoderConfig cfg;
-    cfg.algorithm = algorithm;
     cfg.schedule = schedule;
     cfg.rule = dd::CheckRule::NormalizedMinSum;
     cfg.max_iterations = 5;
@@ -83,20 +68,8 @@ const ir::StageBound& stage_of(const ir::RangeCertificate& cert, const std::stri
     return missing;
 }
 
-/// First information bit of maximal variable degree (the adversarial flip
-/// position concretize_witness asks for).
-long long max_degree_info_bit(const dc::Dvbs2Code& code) {
-    const auto& cp = code.params();
-    std::vector<int> deg(static_cast<std::size_t>(cp.n), 0);
-    for (long long e = 0; e < cp.e_in(); ++e)
-        ++deg[static_cast<std::size_t>(code.edge_variable(e))];
-    for (int v = 0; v < cp.k; ++v)
-        if (deg[static_cast<std::size_t>(v)] == cp.deg_hi) return v;
-    return 0;
-}
-
-// ---- FNV-1a 64 digest of a witness recipe (pattern, magnitude, peaks,
-// and the expanded LLR vector itself) ----
+// ---- FNV-1a 64 digest of a witness recipe (magnitude, peaks, and the
+// expanded LLR vector itself) ----
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -108,24 +81,23 @@ void fnv_u64(std::uint64_t& h, std::uint64_t v) {
     }
 }
 
-std::uint64_t witness_digest(const ir::RangeWitness& w, long long n, long long flip_index) {
+std::uint64_t witness_digest(const ir::RangeWitness& w, long long n) {
     std::uint64_t h = kFnvOffset;
-    fnv_u64(h, static_cast<std::uint64_t>(w.algorithm));
-    fnv_u64(h, static_cast<std::uint64_t>(w.pattern));
+    fnv_u64(h, 0);  // was the algorithm tag (min-sum = 0); kept so the pins stay valid
+    fnv_u64(h, 0);  // was the witness pattern (all-saturate = 0); kept likewise
     fnv_u64(h, static_cast<std::uint64_t>(std::llround(w.channel_magnitude * 16.0)));
     for (long long p : w.peaks) fnv_u64(h, static_cast<std::uint64_t>(p));
-    for (double llr : ir::witness_llrs(w, n, flip_index))
+    for (double llr : ir::witness_llrs(w, n))
         fnv_u64(h, static_cast<std::uint64_t>(std::llround(llr * 16.0)));
     return h;
 }
 
 struct WitnessPin {
     dd::Schedule schedule;
-    dd::Algorithm algorithm;
     std::uint64_t digest;
 };
 
-/// Enum spellings for the paste-ready regeneration lines.
+/// Enum spelling for the paste-ready regeneration lines.
 const char* schedule_token(dd::Schedule s) {
     switch (s) {
         case dd::Schedule::TwoPhase: return "dd::Schedule::TwoPhase";
@@ -136,97 +108,44 @@ const char* schedule_token(dd::Schedule s) {
     }
     return "?";
 }
-const char* algorithm_token(dd::Algorithm a) {
-    switch (a) {
-        case dd::Algorithm::MinSum: return "dd::Algorithm::MinSum";
-        case dd::Algorithm::Wbf: return "dd::Algorithm::Wbf";
-        case dd::Algorithm::RhsBp: return "dd::Algorithm::RhsBp";
-    }
-    return "?";
-}
 
 }  // namespace
 
 // ----------------------------------------------------------------------
-// Acceptance: every legal combination certifies, checker-accepted
+// Acceptance: every combination certifies, checker-accepted
 // ----------------------------------------------------------------------
 
 TEST(Absint, CertificatesAcceptedForAllLegalCombos) {
     const auto& cp = toy_code().params();
     for (dd::Schedule s : kAllSchedules) {
-        for (dd::Algorithm a : kAllAlgorithms) {
-            const bool legal = ir::classify_algorithm(a).supports(s);
-            for (const dq::QuantSpec& q : {dq::kQuant6, dq::kQuant5}) {
-                const dd::DecoderConfig cfg = cert_config(a, s);
-                const an::RangeIrAnalysis res = an::analyze_range_ir(cp, cfg, q);
-                const std::string ctx = std::string(dd::to_string(s)) + "/" + dd::to_string(a) +
-                                        "/" + std::to_string(q.total_bits) + "bit";
-                EXPECT_EQ(res.report.error_count(), 0u) << ctx;
-                if (legal) {
-                    ASSERT_TRUE(res.certificate.has_value()) << ctx;
-                    EXPECT_TRUE(res.certificate->ok) << ctx;
-                    EXPECT_TRUE(res.checker_ok) << ctx;
-                    EXPECT_GE(res.certificate->fixpoint_rounds, 1) << ctx;
-                } else {
-                    // no datapath to certify: the family reports the
-                    // schedule obstruction as a note and stops
-                    EXPECT_FALSE(res.certificate.has_value()) << ctx;
-                    bool noted = false;
-                    for (const an::Diagnostic& d : res.report.diagnostics())
-                        noted = noted || d.rule == "range.ir.schedule";
-                    EXPECT_TRUE(noted) << ctx;
-                }
-            }
+        for (const dq::QuantSpec& q : {dq::kQuant6, dq::kQuant5}) {
+            const an::RangeIrAnalysis res = an::analyze_range_ir(cp, cert_config(s), q);
+            const std::string ctx =
+                std::string(dd::to_string(s)) + "/" + std::to_string(q.total_bits) + "bit";
+            EXPECT_EQ(res.report.error_count(), 0u) << ctx;
+            ASSERT_TRUE(res.certificate.has_value()) << ctx;
+            EXPECT_TRUE(res.certificate->ok) << ctx;
+            EXPECT_TRUE(res.checker_ok) << ctx;
+            EXPECT_GE(res.certificate->fixpoint_rounds, 1) << ctx;
         }
     }
 }
 
 // ----------------------------------------------------------------------
-// Engine / lint alignment
+// Engine verdicts
 // ----------------------------------------------------------------------
-
-TEST(Absint, EngineCertificateMatchesLintSpecDerivation) {
-    for (const dd::EngineKey& key : dd::registered_engines()) {
-        if (key.arith != dd::Arithmetic::Fixed) continue;
-        dd::EngineSpec spec;
-        spec.arith = key.arith;
-        spec.config = cert_config(key.algorithm, key.algorithm == dd::Algorithm::Wbf
-                                                     ? dd::Schedule::TwoPhase
-                                                     : dd::Schedule::ZigzagForward);
-        spec.config.backend = key.backend;
-        if (key.backend == dd::DecoderBackend::Simd)
-            spec.config.schedule = dd::Schedule::TwoPhase;
-        const ir::RangeCertificate cert = dd::engine_range_certificate(spec);
-        const std::string ctx = dd::to_string(key);
-        EXPECT_TRUE(cert.ok) << ctx;
-        EXPECT_EQ(cert.algorithm, key.algorithm) << ctx;
-
-        // both derivation paths must agree field-for-field, or lint
-        // verdicts and engine-construction verdicts drift apart
-        const ir::AbsintSpec lint = an::absint_spec_for(spec.config, spec.quant);
-        EXPECT_EQ(cert.spec.algorithm, lint.algorithm) << ctx;
-        EXPECT_EQ(cert.spec.rule, lint.rule) << ctx;
-        EXPECT_EQ(cert.spec.max_raw, lint.max_raw) << ctx;
-        EXPECT_EQ(cert.spec.channel_clamp, lint.channel_clamp) << ctx;
-        EXPECT_EQ(cert.spec.corr_peak, lint.corr_peak) << ctx;
-        EXPECT_EQ(cert.spec.wide_capacity, lint.wide_capacity) << ctx;
-        EXPECT_EQ(cert.spec.norm_num, lint.norm_num) << ctx;
-        EXPECT_EQ(cert.spec.offset_raw, lint.offset_raw) << ctx;
-        EXPECT_DOUBLE_EQ(cert.spec.wbf_alpha, lint.wbf_alpha) << ctx;
-        EXPECT_EQ(cert.spec.rhs_cmax_raw, lint.rhs_cmax_raw) << ctx;
-    }
-}
 
 TEST(Absint, OverflowingQuantizersAreRejectedNamingTheOffender) {
     // A 30-bit quantizer makes the Eq. 4 accumulation exceed the 32-bit
     // wide word. On the engine path the quantizer legality gate fires
     // first (the engine's word formats stop at 16 bits, all of which
-    // certify clean — see EngineCertificateMatchesLintSpecDerivation), so
-    // the event-naming rejection is exercised through the lint family,
-    // which certifies the full 2..31-bit format space.
+    // certify clean: every fixed engine the other tests build passes
+    // through engine_range_certificate), so the event-naming rejection is
+    // exercised through the lint family, which certifies the full
+    // 2..31-bit format space.
     dd::EngineSpec spec;
     spec.arith = dd::Arithmetic::Fixed;
-    spec.config = cert_config(dd::Algorithm::MinSum, dd::Schedule::TwoPhase);
+    spec.config = cert_config(dd::Schedule::TwoPhase);
     spec.quant.total_bits = 30;
     spec.quant.frac_bits = 2;
     try {
@@ -260,56 +179,52 @@ TEST(Absint, OverflowingQuantizersAreRejectedNamingTheOffender) {
 
 TEST(Absint, CheckerRejectsCorruptedCertificates) {
     const ir::TraceDims dims = an::range_trace_dims(toy_code().params());
-    for (dd::Algorithm a : kAllAlgorithms) {
-        const dd::DecoderConfig cfg = cert_config(a, dd::Schedule::TwoPhase);
-        const ir::AbsintSpec spec = an::absint_spec_for(cfg, dq::kQuant6);
-        const ir::Trace trace = ir::build_schedule_trace(dd::Schedule::TwoPhase, dims);
-        const ir::RangeCertificate good = ir::certify_ranges(trace, spec);
-        ASSERT_TRUE(good.ok) << dd::to_string(a);
-        ASSERT_TRUE(ir::check_range_certificate(trace, spec, good).ok) << dd::to_string(a);
+    const ir::AbsintSpec spec =
+        dd::absint_spec_of(cert_config(dd::Schedule::TwoPhase), dq::kQuant6);
+    const ir::Trace trace = ir::build_schedule_trace(dd::Schedule::TwoPhase, dims);
+    const ir::RangeCertificate good = ir::certify_ranges(trace, spec);
+    ASSERT_TRUE(good.ok);
+    ASSERT_TRUE(ir::check_range_certificate(trace, spec, good).ok);
 
-        // lower the last Def claim: the final-block replay recomputes the
-        // transfer and must see the claim fall below it
-        ir::RangeCertificate bad = good;
-        std::int64_t last_def = -1;
-        for (std::size_t i = trace.events.size(); i-- > 0;)
-            if (trace.events[i].access == ir::Access::Def && bad.event_bound[i] > 0) {
-                last_def = static_cast<std::int64_t>(i);
-                break;
-            }
-        ASSERT_GE(last_def, 0) << dd::to_string(a);
-        bad.event_bound[static_cast<std::size_t>(last_def)] -= 1;
-        const ir::RangeCheck chk = ir::check_range_certificate(trace, spec, bad);
-        EXPECT_FALSE(chk.ok) << dd::to_string(a);
-        ASSERT_TRUE(chk.rejection.has_value()) << dd::to_string(a);
-        EXPECT_GE(chk.rejection->event, 0) << dd::to_string(a);
+    // lower the last Def claim: the final-block replay recomputes the
+    // transfer and must see the claim fall below it
+    ir::RangeCertificate bad = good;
+    std::int64_t last_def = -1;
+    for (std::size_t i = trace.events.size(); i-- > 0;)
+        if (trace.events[i].access == ir::Access::Def && bad.event_bound[i] > 0) {
+            last_def = static_cast<std::int64_t>(i);
+            break;
+        }
+    ASSERT_GE(last_def, 0);
+    bad.event_bound[static_cast<std::size_t>(last_def)] -= 1;
+    const ir::RangeCheck chk = ir::check_range_certificate(trace, spec, bad);
+    EXPECT_FALSE(chk.ok);
+    ASSERT_TRUE(chk.rejection.has_value());
+    EXPECT_GE(chk.rejection->event, 0);
 
-        // shrink a claimed space bound below its events: coverage check
-        ir::RangeCertificate shrunk = good;
-        for (long long& b : shrunk.space_bound)
-            if (b > 0) {
-                b -= 1;
-                break;
-            }
-        EXPECT_FALSE(ir::check_range_certificate(trace, spec, shrunk).ok) << dd::to_string(a);
-    }
+    // shrink a claimed space bound below its events: coverage check
+    ir::RangeCertificate shrunk = good;
+    for (long long& b : shrunk.space_bound)
+        if (b > 0) {
+            b -= 1;
+            break;
+        }
+    EXPECT_FALSE(ir::check_range_certificate(trace, spec, shrunk).ok);
 }
 
 // ----------------------------------------------------------------------
-// Witness tier: the real decoders reach the proven peaks bit-exactly
+// Witness tier: the real decoder reaches the proven peaks bit-exactly
 // ----------------------------------------------------------------------
 
 TEST(AbsintWitness, MinSumFixedDecoderReachesProvenPeaks) {
     const dc::Dvbs2Code& code = toy_code();
-    const dd::DecoderConfig cfg = cert_config(dd::Algorithm::MinSum, dd::Schedule::TwoPhase);
+    const dd::DecoderConfig cfg = cert_config(dd::Schedule::TwoPhase);
     const dq::QuantSpec q = dq::kQuant6;
     const an::RangeIrAnalysis res = an::analyze_range_ir(code.params(), cfg, q);
     ASSERT_TRUE(res.certificate && res.certificate->ok && res.checker_ok);
     const ir::RangeCertificate& cert = *res.certificate;
 
-    const ir::RangeWitness wit = ir::concretize_witness(an::absint_spec_for(cfg, q), cert);
-    EXPECT_EQ(wit.pattern, ir::WitnessPattern::AllSaturate);
-    const std::vector<double> llrs = ir::witness_llrs(wit, code.n(), -1);
+    const std::vector<double> llrs = ir::witness_llrs(ir::concretize_witness(cert), code.n());
 
     dd::MpDecoder<dd::FixedArith> dec(
         code, cfg, dd::FixedArith(cfg.rule, q, nullptr, cfg.normalization, cfg.offset));
@@ -337,126 +252,8 @@ TEST(AbsintWitness, MinSumFixedDecoderReachesProvenPeaks) {
               cert.space_bound[static_cast<std::size_t>(ir::Space::MsgWord)]);
 }
 
-TEST(AbsintWitness, WbfFixedDecoderReachesProvenPeaks) {
-    const dc::Dvbs2Code& code = toy_code();
-    const dd::DecoderConfig cfg = cert_config(dd::Algorithm::Wbf, dd::Schedule::TwoPhase);
-    const dq::QuantSpec q = dq::kQuant6;
-    const an::RangeIrAnalysis res = an::analyze_range_ir(code.params(), cfg, q);
-    ASSERT_TRUE(res.certificate && res.certificate->ok && res.checker_ok);
-    const ir::RangeCertificate& cert = *res.certificate;
-
-    const ir::RangeWitness wit = ir::concretize_witness(an::absint_spec_for(cfg, q), cert);
-    EXPECT_EQ(wit.pattern, ir::WitnessPattern::SingleFlip);
-    // one flipped max-degree bit keeps its checks unsatisfied so the flip
-    // pass runs, while every reliability sits at the saturation bound
-    const std::vector<double> llrs = ir::witness_llrs(wit, code.n(), max_degree_info_bit(code));
-
-    dd::WbfDecoder<dq::QLLR> dec(code, cfg);
-    std::vector<dq::QLLR> ch(llrs.size());
-    for (std::size_t i = 0; i < llrs.size(); ++i) ch[i] = dq::quantize(llrs[i], q);
-    dd::DecodeResult out;
-    dec.decode_into(ch, out);
-    ASSERT_GE(out.iterations, 1) << "witness must run at least one flip pass";
-
-    auto peak = [](const auto& v) {
-        long long p = 0;
-        for (auto x : v) p = std::max(p, static_cast<long long>(x < 0 ? -x : x));
-        return p;
-    };
-    // tight: reliabilities and stored check weights at the proven peak
-    EXPECT_EQ(peak(dec.reliabilities()),
-              cert.space_bound[static_cast<std::size_t>(ir::Space::MsgWord)]);
-    EXPECT_EQ(peak(dec.check_weights_min1()), stage_of(cert, "wbf-weight").worst);
-    // sound: the flip metric of every bit stays within the certified bound
-    double metric_peak = 0.0;
-    for (double m : dec.flip_metrics()) metric_peak = std::max(metric_peak, std::fabs(m));
-    EXPECT_LE(metric_peak,
-              static_cast<double>(stage_of(cert, "wbf-flip-metric").worst));
-    EXPECT_GT(metric_peak, 0.0);
-}
-
-TEST(AbsintWitness, RhsBpDecoderReachesProvenPeaks) {
-    const dc::Dvbs2Code& code = toy_code();
-    dd::DecoderConfig cfg = cert_config(dd::Algorithm::RhsBp, dd::Schedule::TwoPhase);
-    cfg.max_iterations = 6;
-    cfg.rhs_beta = 0.999;  // witness note: trackers reach the 2*atanh clamp
-    const dq::QuantSpec q = dq::kQuant6;
-    const an::RangeIrAnalysis res = an::analyze_range_ir(code.params(), cfg, q);
-    ASSERT_TRUE(res.certificate && res.certificate->ok && res.checker_ok);
-    const ir::RangeCertificate& cert = *res.certificate;
-
-    const ir::RangeWitness wit = ir::concretize_witness(an::absint_spec_for(cfg, q), cert);
-    EXPECT_EQ(wit.pattern, ir::WitnessPattern::SingleFlip);
-    const std::vector<double> llrs = ir::witness_llrs(wit, code.n(), code.n() - 1);
-
-    dd::RhsBpDecoder dec(code, cfg);
-    dd::DecodeResult out;
-    dec.decode_into(llrs, out);
-
-    auto raw_peak = [&](const std::vector<double>& v) {
-        double p = 0.0;
-        for (double x : v) p = std::max(p, std::fabs(x));
-        return std::llround(p / q.step());
-    };
-    // tight: with beta near 1 the trackers saturate the 2*atanh clamp, so
-    // a clean max-degree node's posterior hits channel + deg * cmax in raw
-    // units exactly
-    EXPECT_EQ(raw_peak(dec.posterior_in()), stage_of(cert, "vn-accumulate").worst);
-    EXPECT_EQ(raw_peak(dec.posterior_p()), stage_of(cert, "parity-posterior").worst);
-}
-
 // ----------------------------------------------------------------------
-// Legacy subsumption: no config flips legality against the stage table
-// ----------------------------------------------------------------------
-
-TEST(Absint, LegacyStageTableVerdictsAreSubsumed) {
-    for (dc::CodeRate rate : dc::all_rates()) {
-        const dc::CodeParams params = dc::standard_params(rate, dc::FrameSize::Long);
-        for (dd::Schedule s : kAllSchedules) {
-            // min-sum: both families run; the verdicts must agree for the
-            // registered quantizers and for an overflowing one
-            for (const dq::QuantSpec& q :
-                 {dq::kQuant6, dq::kQuant5, dq::QuantSpec{30, 2}}) {
-                const dd::DecoderConfig cfg = cert_config(dd::Algorithm::MinSum, s);
-                const an::RangeAnalysis legacy = an::analyze_fixed_point_range(params, cfg, q);
-                const an::RangeIrAnalysis cert = an::analyze_range_ir(params, cfg, q);
-                const std::string ctx = params.name + "/" + dd::to_string(s) + "/" +
-                                        std::to_string(q.total_bits) + "bit";
-                bool legacy_overflow = false;
-                for (const an::Diagnostic& d : legacy.report.diagnostics())
-                    legacy_overflow =
-                        legacy_overflow || d.rule == "range.accumulator-overflow";
-                ASSERT_TRUE(cert.certificate.has_value()) << ctx;
-                EXPECT_EQ(legacy_overflow, !cert.certificate->ok) << ctx;
-                // verdict divergence would surface as a range.ir.legacy error
-                for (const an::Diagnostic& d : cert.report.diagnostics())
-                    if (d.rule == "range.ir.legacy") {
-                        EXPECT_NE(d.severity, an::Severity::Error) << ctx << ": " << d.message;
-                    }
-            }
-        }
-    }
-    // non-min-sum configs must NOT be analyzed by the min-sum stage table:
-    // the legacy family defers via range.algorithm-scope (the documented
-    // algorithm-blind false-clean class) and the certifier owns the verdict
-    const dc::CodeParams params = dc::standard_params(dc::CodeRate::R1_2, dc::FrameSize::Long);
-    for (dd::Algorithm a : {dd::Algorithm::Wbf, dd::Algorithm::RhsBp}) {
-        const dd::DecoderConfig cfg =
-            cert_config(a, a == dd::Algorithm::Wbf ? dd::Schedule::TwoPhase
-                                                   : dd::Schedule::Layered);
-        const an::RangeAnalysis legacy =
-            an::analyze_fixed_point_range(params, cfg, dq::kQuant6);
-        bool deferred = false;
-        for (const an::Diagnostic& d : legacy.report.diagnostics())
-            deferred = deferred || d.rule == "range.algorithm-scope";
-        EXPECT_TRUE(deferred) << dd::to_string(a);
-        EXPECT_TRUE(legacy.stages.empty()) << dd::to_string(a)
-                                           << ": stage table must not model this algorithm";
-    }
-}
-
-// ----------------------------------------------------------------------
-// Golden witness pins (canonical trace dims, all 15 combos)
+// Golden witness pins (canonical trace dims, all five schedules)
 // ----------------------------------------------------------------------
 
 TEST(Absint, GoldenWitnessRecipesArePinned) {
@@ -467,21 +264,18 @@ TEST(Absint, GoldenWitnessRecipesArePinned) {
     const long long n = dims.m() + dims.check_in_degree;  // enough slots to expand
     std::size_t checked = 0;
     for (const WitnessPin& pin : kPins) {
-        dd::DecoderConfig cfg = cert_config(pin.algorithm, pin.schedule);
-        const ir::AbsintSpec spec = an::absint_spec_for(cfg, dq::kQuant6);
+        const ir::AbsintSpec spec = dd::absint_spec_of(cert_config(pin.schedule), dq::kQuant6);
         const ir::Trace trace = ir::build_schedule_trace(pin.schedule, dims);
         const ir::RangeCertificate cert = ir::certify_ranges(trace, spec);
-        ASSERT_TRUE(cert.ok) << dd::to_string(pin.schedule) << "/" << dd::to_string(pin.algorithm);
-        const ir::RangeWitness wit = ir::concretize_witness(spec, cert);
-        const std::uint64_t actual = witness_digest(wit, n, 0);
+        ASSERT_TRUE(cert.ok) << dd::to_string(pin.schedule);
+        const std::uint64_t actual = witness_digest(ir::concretize_witness(cert), n);
         EXPECT_EQ(actual, pin.digest)
-            << dd::to_string(pin.schedule) << "/" << dd::to_string(pin.algorithm)
+            << dd::to_string(pin.schedule)
             << " witness recipe changed; if intended, paste the printed actual pin";
         if (actual != pin.digest)
-            std::printf("actual pin: {%s, %s, 0x%016llxULL},\n", schedule_token(pin.schedule),
-                        algorithm_token(pin.algorithm),
+            std::printf("actual pin: {%s, 0x%016llxULL},\n", schedule_token(pin.schedule),
                         static_cast<unsigned long long>(actual));
         ++checked;
     }
-    EXPECT_EQ(checked, 15u) << "expected all five schedules x three algorithms pinned";
+    EXPECT_EQ(checked, 5u) << "expected all five schedules pinned";
 }

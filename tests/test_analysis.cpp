@@ -13,7 +13,6 @@
 
 namespace da = dvbs2::analysis;
 namespace dc = dvbs2::code;
-namespace dd = dvbs2::core;
 namespace dr = dvbs2::arch;
 
 namespace {
@@ -230,19 +229,33 @@ TEST(LintRange, PaperDesignPointsAreClean) {
 }
 
 TEST(LintRange, StageTableCoversTheDatapath) {
-    const auto p = toy();
-    dvbs2::core::DecoderConfig cfg;
-    cfg.schedule = dvbs2::core::Schedule::Layered;
-    const auto an = da::analyze_fixed_point_range(p, cfg, dvbs2::quant::kQuant6);
-    EXPECT_TRUE(an.report.clean());
-    bool saw_vn = false, saw_layered = false;
-    for (const auto& s : an.stages) {
-        if (s.stage == "vn-accumulate") saw_vn = true;
-        if (s.stage == "layered-posterior") saw_layered = true;
-        EXPECT_TRUE(s.fits()) << s.stage;
+    // The certificate's stage table names every wide accumulator of the
+    // schedule's datapath: the Eq. 4 variable-node sums and zigzag chain
+    // adds of the zigzag schedule, the running posterior totals of the
+    // layered one, and the check-node combine of both.
+    const struct {
+        dvbs2::core::Schedule schedule;
+        std::vector<std::string> stages;
+    } cases[] = {
+        {dvbs2::core::Schedule::ZigzagForward,
+         {"channel-quantize", "vn-accumulate", "vn-extrinsic", "zigzag-chain-add",
+          "parity-posterior", "cn-combine"}},
+        {dvbs2::core::Schedule::Layered,
+         {"channel-quantize", "layered-gather", "layered-posterior", "cn-combine"}},
+    };
+    for (const auto& c : cases) {
+        dvbs2::core::DecoderConfig cfg;
+        cfg.schedule = c.schedule;
+        const auto an = da::analyze_range_ir(toy(), cfg, dvbs2::quant::kQuant6);
+        EXPECT_TRUE(an.report.clean());
+        ASSERT_TRUE(an.certificate.has_value());
+        for (const std::string& want : c.stages) {
+            bool seen = false;
+            for (const auto& s : an.certificate->stages) seen = seen || s.stage == want;
+            EXPECT_TRUE(seen) << dvbs2::core::to_string(c.schedule) << ": " << want;
+        }
+        for (const auto& s : an.certificate->stages) EXPECT_TRUE(s.fits()) << s.stage;
     }
-    EXPECT_TRUE(saw_vn);
-    EXPECT_TRUE(saw_layered);
 }
 
 TEST(LintRange, TooWideAccumulationTripsOverflowRule) {
@@ -251,8 +264,8 @@ TEST(LintRange, TooWideAccumulationTripsOverflowRule) {
     const auto p = dc::standard_params(dc::CodeRate::R1_2, dc::FrameSize::Long);
     dvbs2::core::DecoderConfig cfg;
     cfg.rule = dvbs2::core::CheckRule::MinSum;
-    const auto rep = da::lint_fixed_point(p, cfg, dvbs2::quant::QuantSpec{29, 2});
-    EXPECT_TRUE(rep.has("range.accumulator-overflow"));
+    const auto rep = da::lint_range_ir(p, cfg, dvbs2::quant::QuantSpec{29, 2});
+    EXPECT_TRUE(rep.has("range.ir.overflow"));
 }
 
 TEST(LintRange, NarrowWidthForExactRuleIsRejected) {
@@ -280,8 +293,8 @@ TEST(LintRange, NegativeOffsetOverflowsTheMessageRange) {
     dvbs2::core::DecoderConfig cfg;
     cfg.rule = dvbs2::core::CheckRule::OffsetMinSum;
     cfg.offset = -2.0;  // grows magnitudes past max_raw without saturation
-    const auto rep = da::lint_fixed_point(p, cfg, dvbs2::quant::kQuant6);
-    EXPECT_TRUE(rep.has("range.accumulator-overflow"));
+    const auto rep = da::lint_range_ir(p, cfg, dvbs2::quant::kQuant6);
+    EXPECT_TRUE(rep.has("range.ir.overflow"));
 }
 
 TEST(LintRange, DegenerateNormalizationTripsNormRule) {
@@ -443,41 +456,6 @@ TEST(LintDataflow, ShippedToyConfigurationReportsTheProofNotes) {
     EXPECT_NE(live[0].message.find("reference 167"), std::string::npos) << live[0].message;
     EXPECT_NE(live[0].message.find("zigzag halving verified (85 vs 167)"), std::string::npos)
         << live[0].message;
-}
-
-TEST(LintDataflow, AlgorithmRuleNeverSilentlyAssumesMinSum) {
-    // Default (min-sum) configurations get an explicit supporting note, not
-    // silence: the verdict names the algorithm and the SIMD availability.
-    da::LintOptions opts;
-    opts.anneal.iterations = 800;
-    const auto ok = da::lint_configuration(toy(), opts);
-    ASSERT_TRUE(ok.has("schedule.dataflow.algorithm"));
-    const auto note = ok.by_rule("schedule.dataflow.algorithm");
-    EXPECT_EQ(note[0].severity, da::Severity::Note);
-    EXPECT_NE(note[0].location.find("algorithm=min-sum"), std::string::npos)
-        << note[0].location;
-
-    // WBF pinned to a multi-level check schedule: the rule errors with the
-    // derived obstruction instead of linting a min-sum that will not run.
-    opts.decoder.algorithm = dd::Algorithm::Wbf;
-    opts.decoder.schedule = dd::Schedule::Layered;
-    const auto bad = da::lint_configuration(toy(), opts);
-    EXPECT_FALSE(bad.clean());
-    const auto err = bad.by_rule("schedule.dataflow.algorithm");
-    ASSERT_FALSE(err.empty());
-    EXPECT_EQ(err[0].severity, da::Severity::Error);
-    EXPECT_NE(err[0].location.find("algorithm=wbf"), std::string::npos) << err[0].location;
-    EXPECT_FALSE(err[0].fix_hint.empty());
-
-    // On its supported schedule WBF lints clean again, with the note saying
-    // the SIMD backend is unavailable for this family.
-    opts.decoder.schedule = dd::Schedule::TwoPhase;
-    const auto good = da::lint_configuration(toy(), opts);
-    const auto wbf_note = good.by_rule("schedule.dataflow.algorithm");
-    ASSERT_FALSE(wbf_note.empty());
-    EXPECT_EQ(wbf_note[0].severity, da::Severity::Note);
-    EXPECT_NE(wbf_note[0].message.find("unavailable"), std::string::npos)
-        << wbf_note[0].message;
 }
 
 TEST(LintDataflow, CorruptSlotStreamTripsTheDataflowRules) {

@@ -1,6 +1,7 @@
 // Unified engine-layer suite (core/engine.hpp):
 //
-//   * engine table — the six built-in keys;
+//   * engine choice — make_engine builds each of the three engines from its
+//     (arithmetic, backend);
 //   * central validation — every illegal (arithmetic, backend, schedule,
 //     lane-mode, rule-parameter, quantizer) combination is rejected with a
 //     diagnostic naming the offending option, through make_engine AND the
@@ -121,30 +122,32 @@ constexpr dd::Schedule kAllSchedules[] = {dd::Schedule::TwoPhase, dd::Schedule::
                                           dd::Schedule::ZigzagSegmented, dd::Schedule::ZigzagMap,
                                           dd::Schedule::Layered};
 
+/// The three engines make_engine builds, by (arithmetic, backend).
+constexpr struct {
+    dd::Arithmetic arith;
+    dd::DecoderBackend backend;
+    const char* name;  ///< backend_name() prefix
+} kEngines[] = {
+    {dd::Arithmetic::Float, dd::DecoderBackend::Scalar, "float-scalar"},
+    {dd::Arithmetic::Fixed, dd::DecoderBackend::Scalar, "fixed-scalar"},
+    {dd::Arithmetic::Fixed, dd::DecoderBackend::Simd, "fixed-simd"},
+};
+
 }  // namespace
 
-// ------------------------------------------------------------ engine table
+// ----------------------------------------------------------- engine choice
 
-TEST(EngineRegistry, BuiltinsAreRegistered) {
-    // The six in-tree engines across the (Algorithm, Arithmetic, Backend)
-    // key; the full-matrix round trip lives in tests/test_algorithms.cpp.
-    const dd::EngineKey builtins[] = {
-        {dd::Algorithm::MinSum, dd::Arithmetic::Float, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::MinSum, dd::Arithmetic::Fixed, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::MinSum, dd::Arithmetic::Fixed, dd::DecoderBackend::Simd},
-        {dd::Algorithm::Wbf, dd::Arithmetic::Float, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::Wbf, dd::Arithmetic::Fixed, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::RhsBp, dd::Arithmetic::Float, dd::DecoderBackend::Scalar},
-    };
-    for (const auto& key : builtins) EXPECT_TRUE(dd::engine_registered(key));
-
-    const auto keys = dd::registered_engines();
-    ASSERT_GE(keys.size(), 6u);
-    int found = 0;
-    for (const auto& k : keys)
-        for (const auto& b : builtins)
-            if (k == b) ++found;
-    EXPECT_EQ(found, 6);
+TEST(EngineRegistry, ArithmeticAndBackendPickTheEngine) {
+    // (arithmetic, backend) selects one of the three engines; the fourth
+    // combination, float on the SIMD backend, is rejected
+    // (EngineValidation.FloatRejectsSimdBackend).
+    for (const auto& e : kEngines) {
+        const auto eng =
+            dd::make_engine(toy_code(), spec_of(e.arith, e.backend, dd::Schedule::TwoPhase));
+        EXPECT_EQ(eng->backend_name().rfind(e.name, 0), 0u) << eng->backend_name();
+        EXPECT_EQ(eng->arithmetic(), e.arith) << e.name;
+        EXPECT_EQ(eng->config().backend, e.backend) << e.name;
+    }
 }
 
 TEST(EngineRegistry, MakeEngineReportsSpec) {
@@ -614,11 +617,7 @@ TEST(EngineMonteCarlo, SweepEngineMatchesPointCalls) {
 TEST(EngineProperties, EarlyStopConvergedMatchesFullBudgetCodeword) {
     const auto& code = toy_code();
     const double snrs[] = {1.0, 2.5, 4.0};
-    for (const auto& key : dd::registered_engines()) {
-        // The property is about the MP family's early stop; the WBF and
-        // RHS-BP families have their own convergence tests in
-        // tests/test_algorithms.cpp.
-        if (key.algorithm != dd::Algorithm::MinSum) continue;
+    for (const auto& key : kEngines) {
         for (const dd::Schedule schedule : kAllSchedules) {
             auto es_spec = spec_of(key.arith, key.backend, schedule);
             es_spec.config.early_stop = true;

@@ -170,36 +170,6 @@ TEST(IrClassify, EngineRegistryConsultsTheDerivedClassification) {
     }
 }
 
-TEST(IrClassify, AlgorithmScheduleSupportIsDerivedFromTraceShape) {
-    // Min-sum message passing runs every schedule and owns the SIMD datapath.
-    const ir::AlgorithmClass& ms = ir::classify_algorithm(co::Algorithm::MinSum);
-    for (co::Schedule s : kAllSchedules) EXPECT_TRUE(ms.supports(s)) << co::to_string(s);
-    EXPECT_TRUE(ms.simd_supported);
-
-    // WBF needs the whole iteration's syndrome at once: only single-level
-    // check phases qualify, which the trace shape says is TwoPhase alone.
-    const ir::AlgorithmClass& wbf = ir::classify_algorithm(co::Algorithm::Wbf);
-    for (co::Schedule s : kAllSchedules) {
-        const bool expect_legal = ir::classify_schedule(s).check_levels <= 1;
-        EXPECT_EQ(expect_legal, s == co::Schedule::TwoPhase) << co::to_string(s);
-        EXPECT_EQ(wbf.supports(s), expect_legal) << co::to_string(s);
-        if (!wbf.supports(s)) {
-            EXPECT_FALSE(wbf.obstruction(s).empty()) << co::to_string(s);
-        }
-    }
-
-    // RHS-BP replaces messages, not the dependence structure: it inherits
-    // every message-passing schedule verdict.
-    const ir::AlgorithmClass& rhs = ir::classify_algorithm(co::Algorithm::RhsBp);
-    for (co::Schedule s : kAllSchedules) EXPECT_TRUE(rhs.supports(s)) << co::to_string(s);
-
-    // Neither new family has a SIMD datapath, and each says why.
-    EXPECT_FALSE(wbf.simd_supported);
-    EXPECT_FALSE(wbf.simd_obstruction.empty());
-    EXPECT_FALSE(rhs.simd_supported);
-    EXPECT_FALSE(rhs.simd_obstruction.empty());
-}
-
 TEST(IrParallelism, TwoPhaseCheckNodesAreFullyIndependent) {
     const auto rep =
         ir::analyze_parallelism(ir::build_schedule_trace(co::Schedule::TwoPhase, canonical()));

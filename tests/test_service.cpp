@@ -35,7 +35,6 @@
 #include "code/tanner.hpp"
 #include "core/engine.hpp"
 #include "service/service.hpp"
-#include "service/sla.hpp"
 #include "service/traffic.hpp"
 
 namespace dc = dvbs2::code;
@@ -269,49 +268,32 @@ TEST(Service, SubmitValidatesSizeFinitenessAndIds) {
     EXPECT_EQ(svc.metrics().decoded, 1u);
 }
 
-TEST(Service, SlaRoutesStreamsToDifferentAlgorithmClasses) {
-    // A measured frontier (shape of BENCH_frontier.json at 4 dB): WBF is an
-    // order of magnitude faster but leaves residual errors; the BP tiers
-    // decode clean at a fraction of the throughput.
-    const ds::FrontierRow frontier[] = {
-        {dd::Algorithm::Wbf, 4.0, 5.7e-2, 7.2, 0.0},
-        {dd::Algorithm::MinSum, 4.0, 0.0, 1.2, 5.1},
-        {dd::Algorithm::RhsBp, 4.0, 0.0, 0.03, 51.0},
-    };
-
-    // Two streams, two SLAs: bulk telemetry tolerates errors and wants
-    // throughput; the strict stream needs clean frames.
-    const auto bulk = ds::select_algorithm(frontier, 4.0, {1.0, 0.0});
-    const auto strict = ds::select_algorithm(frontier, 4.0, {1e-4, 0.0});
-    ASSERT_TRUE(bulk.has_value());
-    ASSERT_TRUE(strict.has_value());
-    EXPECT_EQ(*bulk, dd::Algorithm::Wbf);      // cheapest adequate: fastest row
-    EXPECT_EQ(*strict, dd::Algorithm::MinSum); // fastest row with BER <= 1e-4
-    // An impossible SLA (clean frames at 10x the fastest tier) selects nothing.
-    EXPECT_FALSE(ds::select_algorithm(frontier, 4.0, {1e-4, 72.0}).has_value());
-
-    // The selections land in *distinct* scheduler classes — the service keys
-    // classes by the full EngineSpec, so the algorithm difference alone
-    // separates the streams (they never share a lane block).
+TEST(Service, SpecsDifferingOnlyInCheckRuleGetDistinctClasses) {
+    // The service keys classes by the full EngineSpec, so two specs that
+    // differ only in check rule land in distinct classes (they never share
+    // a lane block), and each class delivers every frame.
     ds::DecodeService svc(quick_config(2, 16, ds::Admission::Block));
-    const auto base = toy_spec(dd::DecoderBackend::Scalar);
-    const auto bulk_cls = svc.add_class(toy_code(), ds::spec_for(*bulk, base));
-    const auto strict_cls = svc.add_class(toy_code(), ds::spec_for(*strict, base));
-    EXPECT_NE(bulk_cls, strict_cls);
+    auto exact = toy_spec(dd::DecoderBackend::Scalar);
+    exact.config.rule = dd::CheckRule::Exact;
+    auto minsum = exact;
+    minsum.config.rule = dd::CheckRule::MinSum;
+    const auto exact_cls = svc.add_class(toy_code(), exact);
+    const auto minsum_cls = svc.add_class(toy_code(), minsum);
+    EXPECT_NE(exact_cls, minsum_cls);
 
-    std::atomic<std::uint64_t> bulk_done{0}, strict_done{0};
-    const auto bulk_stream =
-        svc.open_stream(bulk_cls, [&](const ds::StreamResult&) { ++bulk_done; });
-    const auto strict_stream =
-        svc.open_stream(strict_cls, [&](const ds::StreamResult&) { ++strict_done; });
-    std::vector<double> frame(svc.class_frame_length(bulk_cls), 2.0);
+    std::atomic<std::uint64_t> exact_done{0}, minsum_done{0};
+    const auto exact_stream =
+        svc.open_stream(exact_cls, [&](const ds::StreamResult&) { ++exact_done; });
+    const auto minsum_stream =
+        svc.open_stream(minsum_cls, [&](const ds::StreamResult&) { ++minsum_done; });
+    std::vector<double> frame(svc.class_frame_length(exact_cls), 2.0);
     for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(svc.submit(bulk_stream, frame), ds::SubmitStatus::Accepted);
-        EXPECT_EQ(svc.submit(strict_stream, frame), ds::SubmitStatus::Accepted);
+        EXPECT_EQ(svc.submit(exact_stream, frame), ds::SubmitStatus::Accepted);
+        EXPECT_EQ(svc.submit(minsum_stream, frame), ds::SubmitStatus::Accepted);
     }
     svc.stop();
-    EXPECT_EQ(bulk_done.load(), 4u);
-    EXPECT_EQ(strict_done.load(), 4u);
+    EXPECT_EQ(exact_done.load(), 4u);
+    EXPECT_EQ(minsum_done.load(), 4u);
     EXPECT_EQ(svc.metrics().decoded, 8u);
 }
 

@@ -58,13 +58,6 @@ std::optional<core::Schedule> parse_schedule(const std::string& s) {
     return std::nullopt;
 }
 
-std::optional<core::Algorithm> parse_algorithm(const std::string& s) {
-    if (s == "minsum" || s == "min-sum") return core::Algorithm::MinSum;
-    if (s == "wbf") return core::Algorithm::Wbf;
-    if (s == "rhs-bp" || s == "rhs") return core::Algorithm::RhsBp;
-    return std::nullopt;
-}
-
 struct Target {
     std::string name;
     code::CodeParams params;
@@ -81,11 +74,8 @@ int usage(const std::string& msg) {
               << "                  [--range-cert-json=FILE] (write range.ir certificates)\n"
               << "                  [--schedule=S] [--check-rule=R] [--normalization=X] "
                  "[--offset=X]\n"
-              << "                  [--algorithm=A]\n"
               << "  --schedule=S lints one schedule (two-phase|zigzag|zigzag-segmented|\n"
               << "               zigzag-map|layered); default zigzag\n"
-              << "  --algorithm=A lints for one decoding algorithm (minsum|wbf|rhs-bp);\n"
-              << "               default minsum (see schedule.dataflow.algorithm)\n"
               << "exit status: 0 clean, 1 error findings, 2 usage/IO failure\n";
     return 2;
 }
@@ -127,8 +117,7 @@ int main(int argc, char** argv) {
         util::CliArgs args(argc, argv,
                            {"rate", "frame", "table", "format", "only", "banks", "writes",
                             "latency", "buffer-depth", "no-anneal", "bits", "frac", "schedule",
-                            "algorithm", "check-rule", "normalization", "offset", "quiet",
-                            "range-cert-json"});
+                            "check-rule", "normalization", "offset", "quiet", "range-cert-json"});
 
         analysis::LintOptions opts;
         opts.memory.num_banks = static_cast<int>(args.get_int("banks", 4));
@@ -142,11 +131,6 @@ int main(int argc, char** argv) {
             const auto s = parse_schedule(args.get("schedule", ""));
             if (!s) return usage("unknown --schedule");
             opts.decoder.schedule = *s;
-        }
-        if (args.has("algorithm")) {
-            const auto a = parse_algorithm(args.get("algorithm", ""));
-            if (!a) return usage("unknown --algorithm (minsum|wbf|rhs-bp)");
-            opts.decoder.algorithm = *a;
         }
         if (args.has("check-rule")) {
             const auto r = parse_rule(args.get("check-rule", ""));
