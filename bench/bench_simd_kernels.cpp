@@ -5,7 +5,8 @@
 //   * group-parallel (lane = functional unit): single-frame decoding,
 //     TwoPhase and ZigzagSegmented schedules only;
 //   * frame-per-lane (lane = frame): batched decoding of W frames in
-//     lockstep, every schedule.
+//     lockstep, every schedule; each row reports the lane count W and lane
+//     width (16 or 32 bits) the decoder picked from the range certificate.
 //
 // Every timed channel vector is also used for a message-level bit-exactness
 // check (c2v / v2c / backward state for the group engine, per-lane c2v
@@ -77,6 +78,8 @@ struct Row {
     double batch_mbps = 0.0;  // frame-per-lane, W frames per block
     double speedup = 0.0;       // group vs scalar
     double batch_speedup = 0.0; // batch vs scalar
+    int batch_lanes = 0;        // frame-per-lane W
+    int batch_lane_bits = 0;    // 16 or 32
     bool bit_exact = false;
 };
 
@@ -98,7 +101,7 @@ double time_engine(Engine& eng, const std::vector<std::vector<quant::QLLR>>& cha
 /// is exactly what a real batched workload pays).
 double time_batch_engine(core::SimdBatchFixedDecoder& eng, const std::vector<quant::QLLR>& flat,
                          std::size_t frames, std::size_t n, int iters, int n_bits) {
-    const auto lanes = static_cast<std::size_t>(core::SimdBatchFixedDecoder::lanes());
+    const auto lanes = static_cast<std::size_t>(eng.lanes());
     const std::size_t first = std::min(lanes, frames);
     eng.run_iterations(std::span<const quant::QLLR>(flat.data(), first * n), first, iters);
     const auto t0 = std::chrono::steady_clock::now();
@@ -190,7 +193,7 @@ bool batch_lanes_exact(core::MpDecoder<core::FixedArith>& scalar,
                        core::SimdBatchFixedDecoder& batch, const std::vector<quant::QLLR>& flat,
                        const std::vector<std::vector<quant::QLLR>>& channels, std::size_t n,
                        int iters) {
-    const auto lanes = static_cast<std::size_t>(core::SimdBatchFixedDecoder::lanes());
+    const auto lanes = static_cast<std::size_t>(batch.lanes());
     const std::size_t cnt = std::min(lanes, channels.size());
     batch.run_iterations(std::span<const quant::QLLR>(flat.data(), cnt * n), cnt, iters);
     for (std::size_t l = 0; l < cnt; ++l) {
@@ -231,7 +234,7 @@ int main(int argc, char** argv) try {
     double max_batch_speedup = 0.0;
     util::TextTable t;
     t.set_header({"Schedule", "scalar Mbit/s", "group Mbit/s", "batch Mbit/s", "group x",
-                  "batch x", "bit-exact"});
+                  "batch x", "batch lanes", "bit-exact"});
     for (const core::Schedule schedule :
          {core::Schedule::TwoPhase, core::Schedule::ZigzagForward,
           core::Schedule::ZigzagSegmented, core::Schedule::ZigzagMap, core::Schedule::Layered}) {
@@ -265,6 +268,8 @@ int main(int argc, char** argv) try {
         }
 
         core::SimdBatchFixedDecoder batch(code, cfg, quant::kQuant6);
+        row.batch_lanes = batch.lanes();
+        row.batch_lane_bits = batch.lane_bits();
         row.batch_mbps = time_batch_engine(batch, flat, static_cast<std::size_t>(frames), n,
                                            iters, code.n());
         row.batch_speedup = row.scalar_mbps > 0.0 ? row.batch_mbps / row.scalar_mbps : 0.0;
@@ -279,7 +284,9 @@ int main(int argc, char** argv) try {
                    row.has_group ? util::TextTable::num(row.simd_mbps, 1) : "-",
                    util::TextTable::num(row.batch_mbps, 1),
                    row.has_group ? util::TextTable::num(row.speedup, 2) : "-",
-                   util::TextTable::num(row.batch_speedup, 2), row.bit_exact ? "yes" : "NO"});
+                   util::TextTable::num(row.batch_speedup, 2),
+                   std::to_string(row.batch_lanes) + " x int" + std::to_string(row.batch_lane_bits),
+                   row.bit_exact ? "yes" : "NO"});
     }
     t.print(std::cout);
 
@@ -374,7 +381,6 @@ int main(int argc, char** argv) try {
         os << "{\n  \"bench\": \"bench_simd_kernels\",\n"
            << "  \"backend\": \"" << core::simd_backend_name() << "\",\n"
            << "  \"width\": " << core::simd_backend_width() << ",\n"
-           << "  \"lanes\": " << core::SimdBatchFixedDecoder::lanes() << ",\n"
            << "  \"rate\": \"" << code::to_string(rate) << "\",\n"
            << "  \"iters\": " << iters << ",\n  \"frames\": " << frames << ",\n"
            << "  \"results\": [\n";
@@ -390,7 +396,8 @@ int main(int argc, char** argv) try {
             if (r.has_group) os << r.speedup;
             else os << "null";
             os << ", \"batch_speedup\": " << r.batch_speedup
-               << ", \"bit_exact\": " << (r.bit_exact ? "true" : "false") << "}"
+               << ", \"batch_lanes\": " << r.batch_lanes
+               << ", \"batch_lane_bits\": " << r.batch_lane_bits << ", \"bit_exact\": " << (r.bit_exact ? "true" : "false") << "}"
                << (i + 1 < rows.size() ? "," : "") << "\n";
         }
         os << "  ],\n  \"early_stop\": {\n"

@@ -31,7 +31,7 @@ double software_batch_info_bps(const code::Dvbs2Code& c, int iters) {
     cfg.schedule = core::Schedule::ZigzagSegmented;  // the paper's schedule
     cfg.max_iterations = iters;
     core::SimdBatchFixedDecoder eng(c, cfg, quant::kQuant6);
-    const auto lanes = static_cast<std::size_t>(core::SimdBatchFixedDecoder::lanes());
+    const auto lanes = static_cast<std::size_t>(eng.lanes());
     const auto n = static_cast<std::size_t>(c.n());
     std::vector<quant::QLLR> flat(lanes * n);
     std::uint64_t s = 0x57AEA11;
@@ -56,8 +56,7 @@ double software_batch_info_bps(const code::Dvbs2Code& c, int iters) {
 int main() {
     bench::banner("Stream / Eq. 7", "double-buffered frame pipeline at 270 MHz, 30 iterations");
     std::cout << "software column: frame-per-lane SIMD batch engine, backend="
-              << core::simd_backend_name() << ", " << core::SimdBatchFixedDecoder::lanes()
-              << " frames/block, 1 thread\n\n";
+              << core::simd_backend_name() << ", one lane block per measurement, 1 thread\n\n";
 
     util::TextTable t;
     t.set_header({"Rate", "steady info Mbit/s", "one-shot Eq.8 Mbit/s", "latency [us]",

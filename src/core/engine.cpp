@@ -32,6 +32,25 @@ namespace dvbs2::core {
 
 namespace {
 
+/// The worst-case degrees over all shipped long-frame rates.
+struct EnvelopeDegrees {
+    int check_in = 2;  ///< largest check in-degree
+    int info = 3;      ///< largest information-node degree
+};
+
+const EnvelopeDegrees& envelope_degrees() {
+    static const EnvelopeDegrees deg = [] {
+        EnvelopeDegrees d;
+        for (code::CodeRate r : code::all_rates()) {
+            const code::CodeParams p = code::standard_params(r);
+            d.check_in = std::max(d.check_in, p.check_deg - 2);
+            d.info = std::max(d.info, p.deg_hi);
+        }
+        return d;
+    }();
+    return deg;
+}
+
 /// Family-envelope trace dimensions for range certification: the scaled
 /// model dims every IR analysis runs at (P=4, q=3), carrying the WORST-CASE
 /// degrees over all shipped long-frame rates — the largest check in-degree
@@ -41,21 +60,15 @@ namespace {
 /// the envelope dominates the full-size codes.
 const analysis::ir::TraceDims& range_envelope_dims() {
     static const analysis::ir::TraceDims dims = [] {
-        int max_kc = 2;
-        int max_deg = 3;
-        for (code::CodeRate r : code::all_rates()) {
-            const code::CodeParams p = code::standard_params(r);
-            max_kc = std::max(max_kc, p.check_deg - 2);
-            max_deg = std::max(max_deg, p.deg_hi);
-        }
+        const EnvelopeDegrees& deg = envelope_degrees();
         analysis::ir::TraceDims d;
-        d.check_in_degree = max_kc;
+        d.check_in_degree = deg.check_in;
         const long long e = d.e_in();
         // variable 0 takes deg_hi edges; every other edge is its own
         // degree-1 node (degree only sharpens the vn-accumulate peak)
         d.edge_variable.assign(static_cast<std::size_t>(e), 0);
         std::int32_t next = 1;
-        for (long long ed = std::min<long long>(max_deg, e); ed < e; ++ed)
+        for (long long ed = std::min<long long>(deg.info, e); ed < e; ++ed)
             d.edge_variable[static_cast<std::size_t>(ed)] = next++;
         d.num_info_nodes = next;
         return d;
@@ -108,6 +121,12 @@ analysis::ir::RangeCertificate engine_range_certificate(const EngineSpec& spec) 
                               (chk.rejection ? chk.rejection->reason : std::string("?")));
     const std::lock_guard<std::mutex> lock(mu);
     return cache.emplace(key, std::move(cert)).first->second;
+}
+
+bool range_certificate_covers(const code::Dvbs2Code& code) {
+    const EnvelopeDegrees& env = envelope_degrees();
+    const code::CodeParams& cp = code.params();
+    return code.check_in_degree() <= env.check_in && std::max(cp.deg_hi, cp.deg_lo) <= env.info;
 }
 
 void validate_engine_spec(const EngineSpec& spec) {
@@ -414,8 +433,11 @@ public:
         // Several lane blocks per call, not one: lane compaction only has
         // frames to splice into retired lanes when the batch outnumbers the
         // lanes, so a deeper preferred batch is what converts per-lane early
-        // termination into throughput (see decode_stream).
-        return batch_ ? 4 * SimdBatchFixedDecoder::lanes() : 1;
+        // termination into throughput (see decode_stream). The count is four
+        // 32-bit lane blocks — two 16-bit ones — whichever width the
+        // certificate picked, so call latency and the service's batch
+        // claims do not move with the lane width.
+        return batch_ ? 4 * simd_backend_width() : 1;
     }
 
     std::vector<quant::QLLR> run_and_dump_c2v(std::span<const quant::QLLR> qllr,

@@ -82,6 +82,12 @@ analysis::ir::AbsintSpec absint_spec_of(const DecoderConfig& cfg, const quant::Q
 /// first overflowing event.
 analysis::ir::RangeCertificate engine_range_certificate(const EngineSpec& spec);
 
+/// True when the family-envelope dims behind engine_range_certificate cover
+/// `code`: its check in-degree and its largest information-node degree are
+/// at most the envelope's, so the certificate's bounds hold for it. Every
+/// standard code is covered; a custom code with larger degrees is not.
+bool range_certificate_covers(const code::Dvbs2Code& code);
+
 /// Type-erased decoder engine. All LLR spans use the channel sign
 /// convention (positive favors bit 0) and must have size N; batched calls
 /// take B frames stored back to back (size B·N, frame-major).
@@ -159,8 +165,8 @@ public:
     /// Human-readable backend tag, e.g. "float-scalar", "fixed-simd(avx2)".
     virtual std::string backend_name() const = 0;
 
-    /// Preferred number of frames per decode_batch call (the lane count of
-    /// frame-parallel backends; 1 where batching only amortizes setup).
+    /// Preferred number of frames per decode_batch call (a few lane blocks
+    /// of frame-parallel backends; 1 where batching only amortizes setup).
     virtual int preferred_batch() const noexcept;
 
     /// Channel-frame length N this engine decodes. The public decode entry

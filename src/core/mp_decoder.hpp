@@ -10,6 +10,18 @@
 // sequence, so a functional-unit model that consumes messages serially in
 // the same order is bit-exact with this reference.
 //
+// Fused variable phase: an arithmetic that sets
+// `static constexpr bool kFusedVariablePhase = true` (the frame-per-lane
+// SIMD lanes, core/simd/batch_decoder.cpp) gets the same schedules without
+// a v2c array and without the separate variable pass: the check phase reads
+// each v2c_e = narrow(post_prev[v] − c2v_e) as it gathers, exactly as the
+// layered sweep already does. post_prev is last iteration's information
+// posterior, ch_v + Σ c2v — the very total the variable pass would have
+// formed — so every message is unchanged; the posterior is double-buffered
+// (the check phase accumulates the new one beside the one it reads). The
+// scalar FixedArith/FloatArith instantiations stay unfused: they are the
+// references, and their v2c_messages() feed the message-level tests.
+//
 // Internal header: include via core/decoder.hpp unless you are the
 // architecture model or a test that needs the template directly.
 #pragma once
@@ -30,11 +42,16 @@ namespace dvbs2::core {
 /// Maximum check-node total degree we support (DVB-S2 max is 30 for R=9/10).
 inline constexpr int kMaxCheckDegree = 40;
 
+/// Arithmetics that ask MpDecoder for the fused variable phase (see above).
+template <class Arith>
+concept FusesVariablePhase = Arith::kFusedVariablePhase;
+
 template <class Arith>
 class MpDecoder {
 public:
     using Value = typename Arith::Value;
     using Wide = typename Arith::Wide;
+    static constexpr bool kFused = FusesVariablePhase<Arith>;
 
     MpDecoder(const code::Dvbs2Code& code, const DecoderConfig& cfg, Arith arith)
         : code_(&code), cfg_(cfg), arith_(std::move(arith)) {
@@ -43,7 +60,7 @@ public:
         DVBS2_REQUIRE(cfg.max_iterations >= 0, "max_iterations must be non-negative");
         const auto e = static_cast<std::size_t>(cp.e_in());
         c2v_.resize(e);
-        v2c_.resize(e);
+        if constexpr (!kFused) v2c_.resize(e);
         const auto m = static_cast<std::size_t>(cp.m());
         down_.resize(m);
         up_.resize(m);  // up_[M-1] unused (p_{M-1} has degree 1), kept zero
@@ -51,6 +68,8 @@ public:
         ch_p_.resize(m);
         post_in_.resize(static_cast<std::size_t>(cp.k));
         post_p_.resize(m);
+        if (kFused && cfg.schedule != Schedule::Layered)
+            post_acc_.resize(static_cast<std::size_t>(cp.k));
         if (cfg.schedule == Schedule::TwoPhase) {
             pn_a_.resize(m);
             pn_c_.resize(m);
@@ -134,13 +153,19 @@ public:
         DVBS2_REQUIRE(ch.size() == static_cast<std::size_t>(cp.n), "channel length mismatch");
         load_channel(ch);
         reset_state();
-        if (cfg_.schedule == Schedule::Layered) init_layered_totals();
+        if (kFused || cfg_.schedule == Schedule::Layered) init_posterior_totals();
     }
 
     /// Runs one full iteration (variable phase + check phase); posteriors
-    /// are valid afterwards via posterior_in()/posterior_p().
+    /// are valid afterwards via posterior_in()/posterior_p(). Fused, only
+    /// the two-phase schedule's O(m) parity-node pass runs before the check
+    /// phase.
     void step() {
-        if (cfg_.schedule != Schedule::Layered) variable_phase();
+        if constexpr (kFused) {
+            if (cfg_.schedule == Schedule::TwoPhase) parity_variable_phase();
+        } else if (cfg_.schedule != Schedule::Layered) {
+            variable_phase();
+        }
         check_phase();
     }
 
@@ -157,9 +182,14 @@ public:
     const std::vector<Value>& channel_p() const noexcept { return ch_p_; }
 
     /// Read-only access to the message state (used by the bit-exactness
-    /// experiments to compare against the architecture model).
+    /// experiments to compare against the architecture model). A fused
+    /// decoder keeps no v2c array.
     const std::vector<Value>& c2v_messages() const noexcept { return c2v_; }
-    const std::vector<Value>& v2c_messages() const noexcept { return v2c_; }
+    const std::vector<Value>& v2c_messages() const noexcept
+        requires(!kFused)
+    {
+        return v2c_;
+    }
     const std::vector<Value>& backward_messages() const noexcept { return up_; }
 
     /// Runs exactly `iters` iterations without early stopping and without
@@ -171,23 +201,27 @@ public:
 
     // --- lane-compaction support (frame-per-lane batch engine only) ---
 
-    /// Mutable views over the cross-iteration state. The frame-per-lane
-    /// batch engine uses this to retire one SIMD lane in place and splice a
-    /// fresh frame into it between step() calls (lane compaction): zeroing
-    /// lane l of c2v/v2c/down/up and rewriting lane l of ch_in/ch_p
+    /// Mutable views over the cross-iteration state of a fused decoder. The
+    /// frame-per-lane batch engine uses this to retire one SIMD lane in
+    /// place and splice a fresh frame into it between step() calls (lane
+    /// compaction): zeroing lane l of c2v/down/up and rewriting lane l of
+    /// ch_in/ch_p and of the posterior totals with the new channel
     /// re-creates exactly the per-lane state begin() builds for a fresh
-    /// frame. The per-schedule scratch arrays (pn_a_/pn_c_, fwd_d_, the
-    /// segment-boundary snapshots) are recomputed from this state each
-    /// iteration before being read, so they need no reset; the Layered
-    /// schedule's running posterior totals DO carry cross-iteration state
-    /// and are exposed for re-initialization from the new channel.
+    /// frame. The totals carry cross-iteration state on every schedule —
+    /// the fused reads take post_prev from post_in, and the Layered sweep
+    /// keeps running totals in both. The per-schedule scratch arrays
+    /// (pn_a_/pn_c_, fwd_d_, the segment-boundary snapshots, the posterior
+    /// accumulation buffer) are recomputed from this state each iteration
+    /// before being read, so they need no reset.
     struct StateView {
-        std::span<Value> c2v, v2c, down, up;
+        std::span<Value> c2v, down, up;
         std::span<Value> ch_in, ch_p;
-        std::span<Wide> post_in, post_p;  ///< Layered running totals
+        std::span<Wide> post_in, post_p;
     };
-    StateView state_view() {
-        return {c2v_, v2c_, down_, up_, ch_in_, ch_p_, post_in_, post_p_};
+    StateView state_view()
+        requires kFused
+    {
+        return {c2v_, down_, up_, ch_in_, ch_p_, post_in_, post_p_};
     }
 
 private:
@@ -201,7 +235,7 @@ private:
     void reset_state() {
         const Value z = arith_.zero();
         std::fill(c2v_.begin(), c2v_.end(), z);
-        std::fill(v2c_.begin(), v2c_.end(), z);
+        std::fill(v2c_.begin(), v2c_.end(), z);  // empty when fused
         std::fill(down_.begin(), down_.end(), z);
         std::fill(up_.begin(), up_.end(), z);
     }
@@ -222,18 +256,20 @@ private:
                 v2c_[e] = arith_.narrow(total - arith_.to_wide(c2v_[e]));
             }
         }
-        if (cfg_.schedule == Schedule::TwoPhase) {
-            // Parity nodes are updated like any degree-2 variable node.
-            const int m = cp.m();
-            for (int j = 0; j < m; ++j) {
-                const Wide chp = arith_.to_wide(ch_p_[static_cast<std::size_t>(j)]);
-                const Wide up = j < m - 1 ? arith_.to_wide(up_[static_cast<std::size_t>(j)])
-                                          : Wide(arith_.zero());
-                pn_a_[static_cast<std::size_t>(j)] = arith_.narrow(chp + up);
-                if (j < m - 1)
-                    pn_c_[static_cast<std::size_t>(j)] =
-                        arith_.narrow(chp + arith_.to_wide(down_[static_cast<std::size_t>(j)]));
-            }
+        if (cfg_.schedule == Schedule::TwoPhase) parity_variable_phase();
+    }
+
+    /// Two-phase parity nodes, updated like any degree-2 variable node.
+    void parity_variable_phase() {
+        const int m = code_->params().m();
+        for (int j = 0; j < m; ++j) {
+            const Wide chp = arith_.to_wide(ch_p_[static_cast<std::size_t>(j)]);
+            const Wide up = j < m - 1 ? arith_.to_wide(up_[static_cast<std::size_t>(j)])
+                                      : Wide(arith_.zero());
+            pn_a_[static_cast<std::size_t>(j)] = arith_.narrow(chp + up);
+            if (j < m - 1)
+                pn_c_[static_cast<std::size_t>(j)] =
+                    arith_.narrow(chp + arith_.to_wide(down_[static_cast<std::size_t>(j)]));
         }
     }
 
@@ -250,6 +286,7 @@ private:
             case Schedule::ZigzagMap: check_phase_map(); break;
             case Schedule::Layered: break;  // handled above
         }
+        if constexpr (kFused) post_in_.swap(post_acc_);  // the new posterior
     }
 
     /// Prefix/suffix extrinsic computation over the canonical input sequence
@@ -263,6 +300,8 @@ private:
 
     /// Gathers CN c's information-edge inputs (respecting cn_order_) into
     /// ins[0..kc); returns the slot index processed at each position.
+    /// Fused, each input is formed here from last iteration's posterior and
+    /// the edge's own c2v, which this iteration has not overwritten yet.
     int gather_in_edges(int c, Value* ins, int* slots) const {
         const int kc = code_->check_in_degree();
         const long long base = static_cast<long long>(c) * kc;
@@ -270,18 +309,35 @@ private:
             const int slot =
                 cn_order_.empty() ? t : cn_order_[static_cast<std::size_t>(base + t)];
             slots[t] = slot;
-            ins[t] = v2c_[static_cast<std::size_t>(base + slot)];
+            const long long e = base + slot;
+            if constexpr (kFused)
+                ins[t] = arith_.narrow(
+                    post_in_[static_cast<std::size_t>(code_->edge_variable(e))] -
+                    arith_.to_wide(c2v_[static_cast<std::size_t>(e)]));
+            else
+                ins[t] = v2c_[static_cast<std::size_t>(e)];
         }
         return kc;
     }
 
+    /// The information posterior the check phase accumulates into: the
+    /// second buffer when fused (post_in_ still holds post_prev), else
+    /// post_in_ itself.
+    std::vector<Wide>& posterior_acc() noexcept {
+        if constexpr (kFused)
+            return post_acc_;
+        else
+            return post_in_;
+    }
+
     void scatter_outputs(int c, const Value* outs, const int* slots, int kc) {
         const long long base = static_cast<long long>(c) * kc;
+        std::vector<Wide>& acc = posterior_acc();
         for (int t = 0; t < kc; ++t) {
             const auto e = static_cast<std::size_t>(base + slots[t]);
             const Value msg = arith_.finalize(outs[t]);
             c2v_[e] = msg;
-            post_in_[static_cast<std::size_t>(code_->edge_variable(static_cast<long long>(e)))] +=
+            acc[static_cast<std::size_t>(code_->edge_variable(static_cast<long long>(e)))] +=
                 arith_.to_wide(msg);
         }
     }
@@ -403,8 +459,10 @@ private:
         return sum / static_cast<double>(post_in_.size() + post_p_.size());
     }
 
-    /// Layered decoding: the posterior arrays double as running totals.
-    void init_layered_totals() {
+    /// Seeds the posterior totals with the channel: Layered's running
+    /// totals, and the fused reads' post_prev for the first iteration (no
+    /// c2v has arrived yet).
+    void init_posterior_totals() {
         const auto& cp = code_->params();
         for (int v = 0; v < cp.k; ++v)
             post_in_[static_cast<std::size_t>(v)] =
@@ -469,9 +527,9 @@ private:
 
     void begin_posterior() {
         const auto& cp = code_->params();
+        std::vector<Wide>& acc = posterior_acc();
         for (int v = 0; v < cp.k; ++v)
-            post_in_[static_cast<std::size_t>(v)] =
-                arith_.to_wide(ch_in_[static_cast<std::size_t>(v)]);
+            acc[static_cast<std::size_t>(v)] = arith_.to_wide(ch_in_[static_cast<std::size_t>(v)]);
     }
 
     void finish_parity_posterior() {
@@ -525,13 +583,14 @@ private:
     DecoderConfig cfg_;
     Arith arith_;
 
-    std::vector<Value> c2v_, v2c_;          // information-edge messages
+    std::vector<Value> c2v_, v2c_;          // information-edge messages (no v2c_ when fused)
     std::vector<Value> down_, up_;          // zigzag messages (CN_j→p_j, CN_{j+1}→p_j)
     std::vector<Value> pn_a_, pn_c_;        // two-phase parity v2c messages
     std::vector<Value> fwd_d_;              // MAP forward storage
     std::vector<Value> boundary_snapshot_;  // segmented-schedule FU boundaries
     std::vector<Value> ch_in_, ch_p_;
     std::vector<Wide> post_in_, post_p_;
+    std::vector<Wide> post_acc_;            // fused: the posterior being accumulated
     std::vector<int> cn_order_;
     std::function<void(const IterationTrace&)> observer_;
 };

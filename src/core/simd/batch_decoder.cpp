@@ -7,31 +7,42 @@
 // structure, never on message values, so W frames advance through the exact
 // scalar instruction sequence in lockstep and each lane reproduces the
 // scalar decoder bit for bit. Because the message arrays are lane-major
-// (vector<VecVal> indexed by edge), every access the scalar schedule makes
-// becomes a contiguous vector load/store: unlike the group-parallel engine,
-// this mode needs no gather instructions.
+// (vector<VecVal> indexed by edge), every message access the scalar
+// schedule makes becomes a contiguous vector load/store: unlike the
+// group-parallel engine, this mode needs no gather instructions for
+// messages (32-bit lanes still gather the Exact rule's correction table;
+// 16-bit lanes compare against its staircase instead). The lane arithmetic
+// asks MpDecoder for the fused variable phase, so no v2c array exists.
+//
+// Lane width: LaneBlock<V> is instantiated twice, on the backend's 16-bit
+// and 32-bit vectors. The constructor picks one from the range certificate
+// (frame_lane_bits); 16-bit lanes are exact because every value a lane ever
+// holds is proven to fit, and add/sub chains wrap modulo 2^16, so only
+// their results need to.
 //
 // Early stopping is per lane: after each iteration a lane-parallel
-// syndrome pass (count_unsatisfied, the vectorized counterpart of
-// core/syndrome.hpp) counts each due lane's unsatisfied checks straight
+// syndrome pass (unsatisfied_lanes, the vectorized counterpart of
+// core/syndrome.hpp) flags each lane with an unsatisfied check straight
 // from the posterior sign bits, and a converging lane hardens and freezes
 // its result (codeword, iteration count) at its own stopping iteration
 // while the remaining lanes keep iterating.
 //
 // Lane compaction (decode_stream): a retired lane is reset in place —
 // zero its column of the cross-iteration message arrays, splice the next
-// pending frame's channel into its column of ch_in/ch_p (and, for the
-// Layered schedule, the running posterior totals) via
-// MpDecoder::state_view(). That reproduces exactly the per-lane state
-// begin() builds for a fresh frame, so a frame decoded by a recycled lane
-// is still bit-identical to its scalar decode; each lane carries its own
-// iteration counter and result slot, so results land in input order.
+// pending frame's channel into its column of ch_in/ch_p and of the
+// posterior totals (post_prev of the fused reads, Layered's running
+// totals) via MpDecoder::state_view(). That reproduces exactly the
+// per-lane state begin() builds for a fresh frame, so a frame decoded by a
+// recycled lane is still bit-identical to its scalar decode; each lane
+// carries its own iteration counter and result slot, so results land in
+// input order.
 #include "core/simd/batch_decoder.hpp"
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
+#include <limits>
 
+#include "core/engine.hpp"
 #include "core/mp_decoder.hpp"
 #include "core/simd/lane_arith.hpp"
 #include "core/simd/vec.hpp"
@@ -39,12 +50,29 @@
 
 namespace dvbs2::core {
 
+namespace detail {
+
+/// The lane-width-independent face of the decoder; LaneBlock<V> implements
+/// it once per lane width.
+class BatchLanes {
+public:
+    virtual ~BatchLanes() = default;
+    virtual int lanes() const noexcept = 0;
+    virtual int lane_bits() const noexcept = 0;
+    virtual void decode_into(std::span<const quant::QLLR> qllr, std::size_t frames,
+                             DecodeResult* out) = 0;
+    virtual void decode_stream(std::size_t frames, SimdBatchFixedDecoder::FrameSource source,
+                               void* ctx, DecodeResult* out) = 0;
+    virtual void run_iterations(std::span<const quant::QLLR> qllr, std::size_t frames,
+                                int iters) = 0;
+    virtual std::vector<quant::QLLR> c2v_messages(std::size_t frame) const = 0;
+};
+
+}  // namespace detail
+
 namespace {
 
 namespace sv = dvbs2::core::simd;
-using V = sv::ActiveVec;
-using Reg = V::reg;
-inline constexpr int W = V::width;
 using quant::QLLR;
 
 /// One vector register of W per-frame messages, with just enough operator
@@ -52,7 +80,9 @@ using quant::QLLR;
 /// defaulted (not user-provided), so vector<VecVal>::resize value-
 /// initializes to all-zero lanes like the scalar arrays, while stack arrays
 /// stay default-initialized (no per-element zeroing in the hot loop).
+template <class V>
 struct VecVal {
+    using Reg = typename V::reg;
     Reg r;
     VecVal() = default;
     VecVal(Reg x) : r(x) {}  // implicit: lane ops return raw registers
@@ -68,16 +98,20 @@ struct VecVal {
 /// members the begin()/step() path instantiates exist meaningfully;
 /// is_negative/from_llr are never instantiated on this arithmetic because
 /// the batch engine hardens lanes itself.
+template <class V>
 class BatchLaneArith {
 public:
-    using Value = VecVal;
-    using Wide = VecVal;
+    using Value = VecVal<V>;
+    using Wide = VecVal<V>;
+    /// MpDecoder fuses the variable phase into the check phase (no v2c
+    /// array, no strided variable pass).
+    static constexpr bool kFusedVariablePhase = true;
 
     BatchLaneArith(CheckRule rule, const quant::QuantSpec& spec,
                    const quant::BoxplusTable* table, double normalization, double offset)
         : lanes_(rule, spec, table, normalization, offset) {}
 
-    Value zero() const { return VecVal(V::broadcast(0)); }
+    Value zero() const { return Value(V::broadcast(0)); }
     Wide to_wide(Value v) const { return v; }
     Value narrow(Wide w) const { return lanes_.narrow(w.r); }
     Value combine(Value a, Value b) const { return lanes_.combine(a.r, b.r); }
@@ -87,19 +121,49 @@ private:
     sv::LaneFixedArith<V> lanes_;
 };
 
-}  // namespace
+constexpr long long kLane16Max = std::numeric_limits<std::int16_t>::max();
 
-struct SimdBatchFixedDecoder::Impl {
-    Impl(const code::Dvbs2Code& code, const DecoderConfig& cfg, const quant::QuantSpec& spec)
+/// The lane-width rule of SimdBatchFixedDecoder's constructor: 16 when the
+/// certificate proves every value a lane computes fits int16, else 32.
+int frame_lane_bits(const code::Dvbs2Code& code, const DecoderConfig& cfg,
+                    const quant::QuantSpec& spec) {
+    const analysis::ir::RangeCertificate cert =
+        engine_range_certificate(EngineSpec{Arithmetic::Fixed, cfg, spec});
+    if (!cert.ok || !range_certificate_covers(code)) return 32;
+    for (const analysis::ir::StageBound& st : cert.stages)
+        if (st.worst > kLane16Max) return 32;
+    for (const long long b : cert.space_bound)
+        if (b > kLane16Max) return 32;
+    // the combine's correction index |a ± b| of two stored words
+    if (2LL * spec.max_raw() > kLane16Max) return 32;
+    if (cfg.rule == CheckRule::Exact &&
+        quant::BoxplusTable(spec).corr(0) > sv::kMaxCorrSteps)
+        return 32;
+    return 16;
+}
+
+template <class V>
+class LaneBlock final : public detail::BatchLanes {
+public:
+    using Val = VecVal<V>;
+    using Reg = typename V::reg;
+    using Lane = typename V::lane_t;
+    static constexpr int W = V::width;
+    static constexpr int kSignShift = V::bits - 1;
+
+    LaneBlock(const code::Dvbs2Code& code, const DecoderConfig& cfg, const quant::QuantSpec& spec)
         : code_(&code),
           cfg_(cfg),
           table_(spec),
           mp_(code, cfg,
-              BatchLaneArith(cfg.rule, spec, cfg.rule == CheckRule::Exact ? &table_ : nullptr,
-                             cfg.normalization, cfg.offset)) {
+              BatchLaneArith<V>(cfg.rule, spec, cfg.rule == CheckRule::Exact ? &table_ : nullptr,
+                                cfg.normalization, cfg.offset)) {
         ch_.resize(static_cast<std::size_t>(code.params().n));
         stage_.resize(static_cast<std::size_t>(code.params().n));
     }
+
+    int lanes() const noexcept override { return W; }
+    int lane_bits() const noexcept override { return V::bits; }
 
     /// Transposes `frames` frame-major channel vectors into the lane-major
     /// block; unused lanes replicate frame 0 (their results are discarded).
@@ -108,116 +172,124 @@ struct SimdBatchFixedDecoder::Impl {
         DVBS2_REQUIRE(frames >= 1 && frames <= static_cast<std::size_t>(W),
                       "batch frames must be in [1, lanes()]");
         DVBS2_REQUIRE(qllr.size() == frames * n, "batch channel length mismatch");
-        QLLR tmp[W];
+        Lane tmp[W];
         for (std::size_t i = 0; i < n; ++i) {
             for (int l = 0; l < W; ++l) {
                 const auto f = static_cast<std::size_t>(l) < frames ? static_cast<std::size_t>(l)
                                                                     : std::size_t{0};
-                tmp[l] = qllr[f * n + i];
+                tmp[l] = static_cast<Lane>(qllr[f * n + i]);
             }
-            ch_[i] = VecVal(V::load(tmp));
+            ch_[i] = Val(V::load(tmp));
         }
     }
 
-    /// Overwrites lane `l` of one vector value (store/patch/reload — the
-    /// splice runs once per frame, not per iteration, so the scalar detour
-    /// is off the hot path).
-    static void set_lane(VecVal& v, std::size_t l, QLLR x) {
-        QLLR tmp[W];
-        V::store(tmp, v.r);
-        tmp[l] = x;
-        v.r = V::load(tmp);
+    /// One lane's selector: all-ones in lane l (`one`), and its complement.
+    /// Splicing through masks keeps every register in vector form; a
+    /// store/patch/reload per word would stall on store forwarding.
+    struct LaneMask {
+        Reg one, rest;
+    };
+    static LaneMask lane_mask(std::size_t l) {
+        Lane sel[W] = {};
+        sel[l] = static_cast<Lane>(-1);
+        const Reg one = V::load(sel);
+        return {one, V::xor_(one, V::broadcast(static_cast<Lane>(-1)))};
     }
 
-    static void zero_lane(std::span<VecVal> vals, std::size_t l) {
-        QLLR tmp[W];
-        for (VecVal& v : vals) {
-            V::store(tmp, v.r);
-            tmp[l] = 0;
-            v.r = V::load(tmp);
-        }
+    /// Overwrites lane l of one vector value.
+    static void set_lane(Val& v, const LaneMask& lm, QLLR x) {
+        v.r = V::or_(V::and_(v.r, lm.rest), V::and_(V::broadcast(static_cast<Lane>(x)), lm.one));
+    }
+
+    static void zero_lane(std::span<Val> vals, const LaneMask& lm) {
+        for (Val& v : vals) v.r = V::and_(v.r, lm.rest);
     }
 
     /// Resets lane `l` in place for a fresh frame (lane compaction): zero
     /// its column of every cross-iteration message array and splice the new
-    /// channel into its column of ch_in/ch_p — exactly the per-lane state
-    /// begin() builds. See MpDecoder::state_view() for why the per-schedule
-    /// scratch arrays need no reset and why Layered's running totals do.
+    /// channel into its column of ch_in/ch_p and of the posterior totals —
+    /// exactly the per-lane state begin() builds. See
+    /// MpDecoder::state_view() for why the scratch arrays need no reset.
     void reset_lane(std::size_t l, const QLLR* frame) {
         const auto& cp = code_->params();
+        const LaneMask lm = lane_mask(l);
         auto st = mp_.state_view();
-        zero_lane(st.c2v, l);
-        zero_lane(st.v2c, l);
-        zero_lane(st.down, l);
-        zero_lane(st.up, l);
+        zero_lane(st.c2v, lm);
+        zero_lane(st.down, lm);
+        zero_lane(st.up, lm);
         const auto k = static_cast<std::size_t>(cp.k);
         const auto m = static_cast<std::size_t>(cp.m());
-        for (std::size_t v = 0; v < k; ++v) set_lane(st.ch_in[v], l, frame[v]);
-        for (std::size_t j = 0; j < m; ++j) set_lane(st.ch_p[j], l, frame[k + j]);
-        if (cfg_.schedule == Schedule::Layered) {
-            for (std::size_t v = 0; v < k; ++v) set_lane(st.post_in[v], l, frame[v]);
-            for (std::size_t j = 0; j < m; ++j) set_lane(st.post_p[j], l, frame[k + j]);
+        for (std::size_t v = 0; v < k; ++v) {
+            set_lane(st.ch_in[v], lm, frame[v]);
+            set_lane(st.post_in[v], lm, frame[v]);
+        }
+        for (std::size_t j = 0; j < m; ++j) {
+            set_lane(st.ch_p[j], lm, frame[k + j]);
+            set_lane(st.post_p[j], lm, frame[k + j]);
         }
     }
 
-    /// Lane-parallel syndrome: per-lane unsatisfied-check counts straight
-    /// from the posterior sign bits — the vectorized counterpart of the
-    /// shared scalar routine (core/syndrome.hpp). sign(posterior) IS the
-    /// hardened bit (harden_lanes sets bit v iff posterior_v < 0, and
-    /// srai<31> is the matching all-ones mask), so the xor-parity per check
-    /// node equals the scalar syndrome of the hardened codeword bit for bit
-    /// (pinned by tests/test_convergence.cpp). One load+xor per edge and no
-    /// per-lane graph walk, so the every-iteration early-stop check costs a
-    /// small fraction of a step() instead of W scalar is_codeword calls.
-    void count_unsatisfied(const std::vector<VecVal>& post_in,
-                           const std::vector<VecVal>& post_p, std::int32_t* unsat) const {
+    /// Lane-parallel syndrome: writes all-ones into unsat[l] iff lane l's
+    /// hardened codeword leaves some check unsatisfied, straight from the
+    /// posterior sign bits — the vectorized counterpart of the shared
+    /// scalar routine (core/syndrome.hpp). sign(posterior) IS the hardened
+    /// bit (harden_lanes sets bit v iff posterior_v < 0, and the sign shift
+    /// is the matching all-ones mask), so the xor-parity per check node
+    /// equals the scalar syndrome of the hardened codeword bit for bit
+    /// (pinned by tests/test_convergence.cpp). The per-check parities are
+    /// OR-accumulated, not counted: only "none unsatisfied" is ever read,
+    /// and a count would overflow a 16-bit lane (m = 48,600 at rate 1/4).
+    /// One load+xor per edge and no per-lane graph walk, so the
+    /// every-iteration early-stop check costs a small fraction of a step().
+    void unsatisfied_lanes(const std::vector<Val>& post_in, const std::vector<Val>& post_p,
+                           Lane* unsat) const {
         const auto& cp = code_->params();
         const int m = cp.m();
         const int d = code_->check_in_degree();
-        Reg cnt = V::broadcast(0);
+        Reg any = V::broadcast(0);
         Reg prev = V::broadcast(0);  // sign of p_{c-1}; CN 0 has no predecessor
         long long e = 0;
         for (int c = 0; c < m; ++c) {
             Reg acc = prev;
             for (int i = 0; i < d; ++i, ++e)
-                acc = V::xor_(acc, V::template srai<31>(
+                acc = V::xor_(acc, V::template srai<kSignShift>(
                                        post_in[static_cast<std::size_t>(
                                                    code_->edge_variable(e))].r));
-            const Reg pc = V::template srai<31>(post_p[static_cast<std::size_t>(c)].r);
+            const Reg pc = V::template srai<kSignShift>(post_p[static_cast<std::size_t>(c)].r);
             acc = V::xor_(acc, pc);
             prev = pc;
-            cnt = V::sub(cnt, acc);  // acc lanes are 0 or −1 (unsatisfied)
+            any = V::or_(any, acc);  // acc lanes are 0 or all-ones (unsatisfied)
         }
-        V::store(unsat, cnt);
+        V::store(unsat, any);
     }
 
     /// Hardens the lanes flagged in `check` from lane-major value arrays
     /// into their caller-owned codewords; slot[l] is lane l's result (null
-    /// for idle lanes).
-    void harden_lanes(const std::vector<VecVal>& in_vals, const std::vector<VecVal>& p_vals,
+    /// for idle lanes). The word loop visits only the flagged lanes.
+    void harden_lanes(const std::vector<Val>& in_vals, const std::vector<Val>& p_vals,
                       DecodeResult* const* slot, const bool* check) const {
         const auto& cp = code_->params();
+        const auto n = static_cast<std::size_t>(cp.n);
+        const auto k = static_cast<std::size_t>(cp.k);
+        int lanes[W];
+        int count = 0;
         for (int l = 0; l < W; ++l) {
             if (!check[l]) continue;
+            lanes[count++] = l;
             util::BitVec& cw = slot[l]->codeword;
-            if (cw.size() != static_cast<std::size_t>(cp.n))
-                cw = util::BitVec(static_cast<std::size_t>(cp.n));
+            if (cw.size() != n)
+                cw = util::BitVec(n);
             else
                 cw.clear();
         }
-        QLLR tmp[W];
-        for (int v = 0; v < cp.k; ++v) {
-            V::store(tmp, in_vals[static_cast<std::size_t>(v)].r);
-            for (int l = 0; l < W; ++l)
-                if (check[l] && tmp[l] < 0)
-                    slot[l]->codeword.set(static_cast<std::size_t>(v), true);
-        }
-        for (int j = 0; j < cp.m(); ++j) {
-            V::store(tmp, p_vals[static_cast<std::size_t>(j)].r);
-            for (int l = 0; l < W; ++l)
-                if (check[l] && tmp[l] < 0)
-                    slot[l]->codeword.set(static_cast<std::size_t>(cp.k + j), true);
-        }
+        Lane tmp[W];
+        const auto harden = [&](const Val& x, std::size_t bit) {
+            V::store(tmp, x.r);
+            for (int i = 0; i < count; ++i)
+                if (tmp[lanes[i]] < 0) slot[lanes[i]]->codeword.set(bit, true);
+        };
+        for (std::size_t v = 0; v < k; ++v) harden(in_vals[v], v);
+        for (std::size_t j = 0; j < n - k; ++j) harden(p_vals[j], k + j);
     }
 
     /// Zero-iteration budget: decide one frame straight from its channel
@@ -247,17 +319,15 @@ struct SimdBatchFixedDecoder::Impl {
     }
 
     /// Single lane block: decode_stream over a frame-major span.
-    struct SpanSource {
-        const QLLR* data;
-        std::size_t n;
-    };
-
-    void decode_into(std::span<const QLLR> qllr, std::size_t frames, DecodeResult* out) {
+    void decode_into(std::span<const QLLR> qllr, std::size_t frames, DecodeResult* out) override {
         const auto n = static_cast<std::size_t>(code_->params().n);
         DVBS2_REQUIRE(frames >= 1 && frames <= static_cast<std::size_t>(W),
                       "batch frames must be in [1, lanes()]");
         DVBS2_REQUIRE(qllr.size() == frames * n, "batch channel length mismatch");
-        SpanSource src{qllr.data(), n};
+        struct SpanSource {
+            const QLLR* data;
+            std::size_t n;
+        } src{qllr.data(), n};
         decode_stream(
             frames,
             [](void* ctx, std::size_t f, QLLR* dst) {
@@ -267,7 +337,8 @@ struct SimdBatchFixedDecoder::Impl {
             &src, out);
     }
 
-    void decode_stream(std::size_t frames, FrameSource source, void* ctx, DecodeResult* out) {
+    void decode_stream(std::size_t frames, SimdBatchFixedDecoder::FrameSource source, void* ctx,
+                       DecodeResult* out) override {
         DVBS2_REQUIRE(frames >= 1, "decode_stream needs at least one frame");
         DVBS2_REQUIRE(source != nullptr && out != nullptr,
                       "decode_stream needs a frame source and result storage");
@@ -291,7 +362,8 @@ struct SimdBatchFixedDecoder::Impl {
         const std::size_t first = std::min(frames, static_cast<std::size_t>(W));
         for (std::size_t l = 0; l < first; ++l) {
             source(ctx, l, stage_.data());
-            for (std::size_t i = 0; i < n; ++i) set_lane(ch_[i], l, stage_[i]);
+            const LaneMask lm = lane_mask(l);
+            for (std::size_t i = 0; i < n; ++i) set_lane(ch_[i], lm, stage_[i]);
         }
         mp_.begin(ch_);
 
@@ -320,8 +392,8 @@ struct SimdBatchFixedDecoder::Impl {
                 }
             }
             if (!any_due) continue;
-            std::int32_t unsat[W];
-            count_unsatisfied(mp_.posterior_in(), mp_.posterior_p(), unsat);
+            Lane unsat[W];
+            unsatisfied_lanes(mp_.posterior_in(), mp_.posterior_p(), unsat);
             bool fin[W] = {};   // lanes retiring this iteration
             bool conv[W] = {};  // their converged flags
             bool any_fin = false;
@@ -364,17 +436,17 @@ struct SimdBatchFixedDecoder::Impl {
         }
     }
 
-    void run_iterations(std::span<const QLLR> qllr, std::size_t frames, int iters) {
+    void run_iterations(std::span<const QLLR> qllr, std::size_t frames, int iters) override {
         load_block(qllr, frames);
         mp_.begin(ch_);
         for (int i = 0; i < iters; ++i) mp_.step();
     }
 
-    std::vector<QLLR> c2v_messages(std::size_t frame) const {
+    std::vector<QLLR> c2v_messages(std::size_t frame) const override {
         DVBS2_REQUIRE(frame < static_cast<std::size_t>(W), "lane index out of range");
         const auto& c2v = mp_.c2v_messages();
         std::vector<QLLR> out(c2v.size());
-        QLLR tmp[W];
+        Lane tmp[W];
         for (std::size_t e = 0; e < c2v.size(); ++e) {
             V::store(tmp, c2v[e].r);
             out[e] = tmp[frame];
@@ -382,24 +454,36 @@ struct SimdBatchFixedDecoder::Impl {
         return out;
     }
 
+private:
     const code::Dvbs2Code* code_;
     DecoderConfig cfg_;
     quant::BoxplusTable table_;
-    MpDecoder<BatchLaneArith> mp_;
-    std::vector<VecVal> ch_;   // lane-major staged channel block
+    MpDecoder<BatchLaneArith<V>> mp_;
+    std::vector<Val> ch_;      // lane-major staged channel block
     std::vector<QLLR> stage_;  // one frame's channel, staging area for lane splices
 };
+
+std::unique_ptr<detail::BatchLanes> make_lanes(const code::Dvbs2Code& code,
+                                               const DecoderConfig& cfg,
+                                               const quant::QuantSpec& spec) {
+    if (frame_lane_bits(code, cfg, spec) == 16)
+        return std::make_unique<LaneBlock<sv::ActiveVec16>>(code, cfg, spec);
+    return std::make_unique<LaneBlock<sv::ActiveVec>>(code, cfg, spec);
+}
+
+}  // namespace
 
 SimdBatchFixedDecoder::SimdBatchFixedDecoder(const code::Dvbs2Code& code,
                                              const DecoderConfig& cfg,
                                              const quant::QuantSpec& spec)
-    : impl_(std::make_unique<Impl>(code, cfg, spec)) {}
+    : impl_(make_lanes(code, cfg, spec)) {}
 SimdBatchFixedDecoder::~SimdBatchFixedDecoder() = default;
 SimdBatchFixedDecoder::SimdBatchFixedDecoder(SimdBatchFixedDecoder&&) noexcept = default;
 SimdBatchFixedDecoder& SimdBatchFixedDecoder::operator=(SimdBatchFixedDecoder&&) noexcept =
     default;
 
-int SimdBatchFixedDecoder::lanes() noexcept { return W; }
+int SimdBatchFixedDecoder::lanes() const noexcept { return impl_->lanes(); }
+int SimdBatchFixedDecoder::lane_bits() const noexcept { return impl_->lane_bits(); }
 
 void SimdBatchFixedDecoder::decode_into(std::span<const quant::QLLR> qllr, std::size_t frames,
                                         DecodeResult* out) {

@@ -17,11 +17,20 @@
 // stream of frames keeps every lane busy no matter how unevenly the frames
 // converge.
 //
+// Lane width: the decoder computes in 16-bit lanes (W=16 on AVX2, 8 on
+// SSE4.1/NEON, 16 on the scalar fallback) whenever the checker-verified
+// range certificate proves every value fits, and in 32-bit lanes (W=8 on
+// AVX2, 4 on SSE4.1/NEON, 8 on the scalar fallback) otherwise; both are
+// the same code. lane_bits() reports the choice; see the constructor for
+// the rule. There is no knob: the certificate decides.
+//
 // Memory layout: messages are stored lane-major (one vector register per
-// edge), so every v2c/c2v access of the scalar schedule becomes a
-// contiguous vector load/store — the frame-per-lane mode needs no gathers
-// at all. The cost is W× the message footprint; throughput per frame still
-// exceeds the group-parallel mode on full batches (bench_simd_kernels).
+// edge), so every message access of the scalar schedule becomes a
+// contiguous vector load/store; the only scattered accesses are the
+// posterior reads and updates by variable index. One c2v word per
+// frame-edge is kept — 2 bytes on 16-bit lanes — because the variable
+// phase is fused into the check phase (core/mp_decoder.hpp): each v2c
+// message is formed from the posterior as the check node reads it.
 //
 // This header is intrinsic-free; batch_decoder.cpp is the only other TU
 // built with SIMD compiler flags (see src/core/CMakeLists.txt).
@@ -38,20 +47,38 @@
 
 namespace dvbs2::core {
 
-/// W-frame lockstep decoder; W = simd_backend_width(). Use via the unified
-/// engine layer (core/engine.hpp, DecoderBackend::Simd with batches or
+namespace detail {
+class BatchLanes;  // one implementation per lane width (batch_decoder.cpp)
+}
+
+/// W-frame lockstep decoder; W = lanes(). Use via the unified engine layer
+/// (core/engine.hpp, DecoderBackend::Simd with batches or
 /// SimdLaneMode::FramePerLane); direct use is for tests and benches.
 class SimdBatchFixedDecoder {
 public:
     /// The code object must outlive the decoder. Accepts every schedule.
+    /// Picks 16-bit lanes when all of these hold, else 32-bit lanes:
+    ///  - the spec's checker-verified range certificate
+    ///    (engine_range_certificate) bounds every stage and stored word,
+    ///    the finalize-normalize product included, by 32767;
+    ///  - the correction index |a ± b| <= 2·max_raw fits too;
+    ///  - the certificate covers `code`'s degrees
+    ///    (range_certificate_covers);
+    ///  - for the Exact rule, the correction staircase
+    ///    (BoxplusTable::corr_thresholds) is at most simd::kMaxCorrSteps
+    ///    long.
     SimdBatchFixedDecoder(const code::Dvbs2Code& code, const DecoderConfig& cfg,
                           const quant::QuantSpec& spec = quant::kQuant6);
     ~SimdBatchFixedDecoder();
     SimdBatchFixedDecoder(SimdBatchFixedDecoder&&) noexcept;
     SimdBatchFixedDecoder& operator=(SimdBatchFixedDecoder&&) noexcept;
 
-    /// Lanes per batch block (== simd_backend_width()).
-    static int lanes() noexcept;
+    /// Lanes per batch block: the compiled backend's 16-bit or 32-bit lane
+    /// count, by lane_bits().
+    int lanes() const noexcept;
+
+    /// Width of one lane in bits, 16 or 32 (chosen at construction).
+    int lane_bits() const noexcept;
 
     /// Decodes `frames` (1..lanes()) quantized frames stored back to back
     /// (frame-major, each of size N) into out[0..frames). Result semantics
@@ -92,8 +119,7 @@ public:
     std::vector<quant::QLLR> c2v_messages(std::size_t frame) const;
 
 private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
+    std::unique_ptr<detail::BatchLanes> impl_;
 };
 
 }  // namespace dvbs2::core

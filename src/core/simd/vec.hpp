@@ -1,12 +1,18 @@
 // Portable fixed-width integer vector layer for the SIMD decoder backend.
 //
 // Each backend exposes the same static interface over a register of
-// `width` lanes of int32 (the raw quantized-LLR type): loads/stores,
-// saturating-add building blocks (add/sub/min/max/abs), sign manipulation
-// (xor/and/srai/cmpgt), a multiply for the normalized-min-sum scale, and a
-// gather for the boxplus correction LUT. The backend is chosen at configure
-// time (CMake option DVBS2_SIMD → one DVBS2_SIMD_* macro); exactly one TU
-// (simd_decoder.cpp) includes this header, so the rest of the tree builds
+// `width` lanes of `lane_t` (`bits` wide): loads/stores, saturating-add
+// building blocks (add/sub/min/max/abs), sign manipulation
+// (xor/and/or/srai/cmpgt), a multiply for the normalized-min-sum scale, and
+// — on 32-bit lanes only — a gather for the boxplus correction LUT. Every
+// backend comes in two lane widths: int32 (the raw quantized-LLR type,
+// ActiveVec) and int16 (ActiveVec16, twice the lanes per register; the
+// frame-per-lane decoder runs it when the range certificate proves every
+// value fits). Add/sub/mullo wrap modulo the lane width like the
+// intrinsics, so a chain of them is exact whenever its result fits.
+// The backend is chosen at configure time (CMake option DVBS2_SIMD → one
+// DVBS2_SIMD_* macro); only the two SIMD engine TUs (simd_decoder.cpp,
+// batch_decoder.cpp) include this header, so the rest of the tree builds
 // without target-specific compiler flags.
 //
 // Every operation is integer-exact, so any backend produces bit-identical
@@ -30,33 +36,37 @@
 namespace dvbs2::core::simd {
 
 /// Reference backend: plain lane loops the compiler may auto-vectorize.
-/// `W` is a power of two dividing the group parallelism handled in blocks.
-template <int W>
+/// `W` is a power of two dividing the group parallelism handled in blocks;
+/// `T` is the lane type (int32 or int16). Results are cast back to `T`, so
+/// 16-bit lanes wrap exactly like the intrinsics.
+template <int W, class T = std::int32_t>
 struct VecScalar {
+    using lane_t = T;
     static constexpr int width = W;
+    static constexpr int bits = 8 * static_cast<int>(sizeof(T));
     struct reg {
-        std::int32_t lane[W];
+        T lane[W];
     };
 
-    static reg load(const std::int32_t* p) {
+    static reg load(const T* p) {
         reg r;
         for (int i = 0; i < W; ++i) r.lane[i] = p[i];
         return r;
     }
-    static void store(std::int32_t* p, reg v) {
+    static void store(T* p, reg v) {
         for (int i = 0; i < W; ++i) p[i] = v.lane[i];
     }
-    static reg broadcast(std::int32_t x) {
+    static reg broadcast(T x) {
         reg r;
         for (int i = 0; i < W; ++i) r.lane[i] = x;
         return r;
     }
     static reg add(reg a, reg b) {
-        for (int i = 0; i < W; ++i) a.lane[i] += b.lane[i];
+        for (int i = 0; i < W; ++i) a.lane[i] = static_cast<T>(a.lane[i] + b.lane[i]);
         return a;
     }
     static reg sub(reg a, reg b) {
-        for (int i = 0; i < W; ++i) a.lane[i] -= b.lane[i];
+        for (int i = 0; i < W; ++i) a.lane[i] = static_cast<T>(a.lane[i] - b.lane[i]);
         return a;
     }
     static reg min(reg a, reg b) {
@@ -68,7 +78,7 @@ struct VecScalar {
         return a;
     }
     static reg abs_(reg a) {
-        for (int i = 0; i < W; ++i) a.lane[i] = a.lane[i] < 0 ? -a.lane[i] : a.lane[i];
+        for (int i = 0; i < W; ++i) a.lane[i] = static_cast<T>(a.lane[i] < 0 ? -a.lane[i] : a.lane[i]);
         return a;
     }
     static reg xor_(reg a, reg b) {
@@ -79,21 +89,25 @@ struct VecScalar {
         for (int i = 0; i < W; ++i) a.lane[i] &= b.lane[i];
         return a;
     }
+    static reg or_(reg a, reg b) {
+        for (int i = 0; i < W; ++i) a.lane[i] |= b.lane[i];
+        return a;
+    }
     static reg mullo(reg a, reg b) {
-        for (int i = 0; i < W; ++i) a.lane[i] *= b.lane[i];
+        for (int i = 0; i < W; ++i) a.lane[i] = static_cast<T>(a.lane[i] * b.lane[i]);
         return a;
     }
     template <int K>
     static reg srai(reg a) {
-        for (int i = 0; i < W; ++i) a.lane[i] >>= K;
+        for (int i = 0; i < W; ++i) a.lane[i] = static_cast<T>(a.lane[i] >> K);
         return a;
     }
     /// Per-lane all-ones where a > b, zero elsewhere.
     static reg cmpgt(reg a, reg b) {
-        for (int i = 0; i < W; ++i) a.lane[i] = a.lane[i] > b.lane[i] ? -1 : 0;
+        for (int i = 0; i < W; ++i) a.lane[i] = a.lane[i] > b.lane[i] ? T(-1) : T(0);
         return a;
     }
-    static reg gather(const std::int32_t* base, reg idx) {
+    static reg gather(const T* base, reg idx) {
         reg r;
         for (int i = 0; i < W; ++i) r.lane[i] = base[idx.lane[i]];
         return r;
@@ -103,7 +117,9 @@ struct VecScalar {
 #if defined(DVBS2_SIMD_AVX2)
 
 struct VecAvx2 {
+    using lane_t = std::int32_t;
     static constexpr int width = 8;
+    static constexpr int bits = 32;
     using reg = __m256i;
 
     static reg load(const std::int32_t* p) {
@@ -120,6 +136,7 @@ struct VecAvx2 {
     static reg abs_(reg a) { return _mm256_abs_epi32(a); }
     static reg xor_(reg a, reg b) { return _mm256_xor_si256(a, b); }
     static reg and_(reg a, reg b) { return _mm256_and_si256(a, b); }
+    static reg or_(reg a, reg b) { return _mm256_or_si256(a, b); }
     static reg mullo(reg a, reg b) { return _mm256_mullo_epi32(a, b); }
     template <int K>
     static reg srai(reg a) {
@@ -131,13 +148,47 @@ struct VecAvx2 {
     }
 };
 
+/// 16 lanes of int16. AVX2 has no 16-bit gather; LaneFixedArith computes
+/// the Exact-rule correction with compares on these lanes instead.
+struct VecAvx2I16 {
+    using lane_t = std::int16_t;
+    static constexpr int width = 16;
+    static constexpr int bits = 16;
+    using reg = __m256i;
+
+    static reg load(const std::int16_t* p) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    }
+    static void store(std::int16_t* p, reg v) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+    }
+    static reg broadcast(std::int16_t x) { return _mm256_set1_epi16(x); }
+    static reg add(reg a, reg b) { return _mm256_add_epi16(a, b); }
+    static reg sub(reg a, reg b) { return _mm256_sub_epi16(a, b); }
+    static reg min(reg a, reg b) { return _mm256_min_epi16(a, b); }
+    static reg max(reg a, reg b) { return _mm256_max_epi16(a, b); }
+    static reg abs_(reg a) { return _mm256_abs_epi16(a); }
+    static reg xor_(reg a, reg b) { return _mm256_xor_si256(a, b); }
+    static reg and_(reg a, reg b) { return _mm256_and_si256(a, b); }
+    static reg or_(reg a, reg b) { return _mm256_or_si256(a, b); }
+    static reg mullo(reg a, reg b) { return _mm256_mullo_epi16(a, b); }
+    template <int K>
+    static reg srai(reg a) {
+        return _mm256_srai_epi16(a, K);
+    }
+    static reg cmpgt(reg a, reg b) { return _mm256_cmpgt_epi16(a, b); }
+};
+
 using ActiveVec = VecAvx2;
+using ActiveVec16 = VecAvx2I16;
 inline constexpr const char* kBackendName = "avx2";
 
 #elif defined(DVBS2_SIMD_SSE4)
 
 struct VecSse41 {
+    using lane_t = std::int32_t;
     static constexpr int width = 4;
+    static constexpr int bits = 32;
     using reg = __m128i;
 
     static reg load(const std::int32_t* p) {
@@ -154,6 +205,7 @@ struct VecSse41 {
     static reg abs_(reg a) { return _mm_abs_epi32(a); }
     static reg xor_(reg a, reg b) { return _mm_xor_si128(a, b); }
     static reg and_(reg a, reg b) { return _mm_and_si128(a, b); }
+    static reg or_(reg a, reg b) { return _mm_or_si128(a, b); }
     static reg mullo(reg a, reg b) { return _mm_mullo_epi32(a, b); }
     template <int K>
     static reg srai(reg a) {
@@ -168,13 +220,46 @@ struct VecSse41 {
     }
 };
 
+/// 8 lanes of int16 (SSE2/SSSE3 instructions, all within SSE4.1).
+struct VecSse41I16 {
+    using lane_t = std::int16_t;
+    static constexpr int width = 8;
+    static constexpr int bits = 16;
+    using reg = __m128i;
+
+    static reg load(const std::int16_t* p) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    }
+    static void store(std::int16_t* p, reg v) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+    }
+    static reg broadcast(std::int16_t x) { return _mm_set1_epi16(x); }
+    static reg add(reg a, reg b) { return _mm_add_epi16(a, b); }
+    static reg sub(reg a, reg b) { return _mm_sub_epi16(a, b); }
+    static reg min(reg a, reg b) { return _mm_min_epi16(a, b); }
+    static reg max(reg a, reg b) { return _mm_max_epi16(a, b); }
+    static reg abs_(reg a) { return _mm_abs_epi16(a); }
+    static reg xor_(reg a, reg b) { return _mm_xor_si128(a, b); }
+    static reg and_(reg a, reg b) { return _mm_and_si128(a, b); }
+    static reg or_(reg a, reg b) { return _mm_or_si128(a, b); }
+    static reg mullo(reg a, reg b) { return _mm_mullo_epi16(a, b); }
+    template <int K>
+    static reg srai(reg a) {
+        return _mm_srai_epi16(a, K);
+    }
+    static reg cmpgt(reg a, reg b) { return _mm_cmpgt_epi16(a, b); }
+};
+
 using ActiveVec = VecSse41;
+using ActiveVec16 = VecSse41I16;
 inline constexpr const char* kBackendName = "sse4";
 
 #elif defined(DVBS2_SIMD_NEON)
 
 struct VecNeon {
+    using lane_t = std::int32_t;
     static constexpr int width = 4;
+    static constexpr int bits = 32;
     using reg = int32x4_t;
 
     static reg load(const std::int32_t* p) { return vld1q_s32(p); }
@@ -187,6 +272,7 @@ struct VecNeon {
     static reg abs_(reg a) { return vabsq_s32(a); }
     static reg xor_(reg a, reg b) { return veorq_s32(a, b); }
     static reg and_(reg a, reg b) { return vandq_s32(a, b); }
+    static reg or_(reg a, reg b) { return vorrq_s32(a, b); }
     static reg mullo(reg a, reg b) { return vmulq_s32(a, b); }
     template <int K>
     static reg srai(reg a) {
@@ -204,12 +290,42 @@ struct VecNeon {
     }
 };
 
+/// 8 lanes of int16.
+struct VecNeonI16 {
+    using lane_t = std::int16_t;
+    static constexpr int width = 8;
+    static constexpr int bits = 16;
+    using reg = int16x8_t;
+
+    static reg load(const std::int16_t* p) { return vld1q_s16(p); }
+    static void store(std::int16_t* p, reg v) { vst1q_s16(p, v); }
+    static reg broadcast(std::int16_t x) { return vdupq_n_s16(x); }
+    static reg add(reg a, reg b) { return vaddq_s16(a, b); }
+    static reg sub(reg a, reg b) { return vsubq_s16(a, b); }
+    static reg min(reg a, reg b) { return vminq_s16(a, b); }
+    static reg max(reg a, reg b) { return vmaxq_s16(a, b); }
+    static reg abs_(reg a) { return vabsq_s16(a); }
+    static reg xor_(reg a, reg b) { return veorq_s16(a, b); }
+    static reg and_(reg a, reg b) { return vandq_s16(a, b); }
+    static reg or_(reg a, reg b) { return vorrq_s16(a, b); }
+    static reg mullo(reg a, reg b) { return vmulq_s16(a, b); }
+    template <int K>
+    static reg srai(reg a) {
+        return vshrq_n_s16(a, K);
+    }
+    static reg cmpgt(reg a, reg b) {
+        return vreinterpretq_s16_u16(vcgtq_s16(a, b));
+    }
+};
+
 using ActiveVec = VecNeon;
+using ActiveVec16 = VecNeonI16;
 inline constexpr const char* kBackendName = "neon";
 
 #else
 
 using ActiveVec = VecScalar<8>;
+using ActiveVec16 = VecScalar<16, std::int16_t>;
 inline constexpr const char* kBackendName = "scalar";
 
 #endif

@@ -6,7 +6,7 @@
 // SIMD group-parallel decoder route through check_syndrome(), so the
 // convergence decision cannot drift between backends. The frame-per-lane
 // batch decoder evaluates the same predicate lane-parallel from the
-// posterior sign bits (count_unsatisfied in batch_decoder.cpp); its
+// posterior sign bits (unsatisfied_lanes in batch_decoder.cpp); its
 // agreement with this routine is pinned by the bit-identical
 // iteration-count invariant of tests/test_convergence.cpp.
 //

@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +48,12 @@ using Clock = std::chrono::steady_clock;
 double seconds_between(Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
 }
+
+/// The service whose worker loop runs on this thread (null elsewhere). Set
+/// once at the top of worker_main and read only by the thread itself, so
+/// stop() and drain() can refuse a call from their own workers without
+/// touching std::thread objects that another thread may be joining.
+thread_local const void* tl_worker_of = nullptr;
 
 }  // namespace
 
@@ -299,6 +306,7 @@ struct DecodeService::Impl {
     // ---------------------------------------------------------- worker loop
 
     void worker_main(Worker& w) {
+        tl_worker_of = this;
         Claim c;
         while (claim_batch(w, c)) {
             ClassState& cs = *c.cls;
@@ -482,12 +490,23 @@ SubmitStatus DecodeService::submit(StreamId stream, std::span<const double> llr)
 
 void DecodeService::drain() {
     Impl& im = *impl_;
+    // From a result callback the wait would include the caller's own
+    // in-flight batch, which cannot finish until the callback returns.
+    if (tl_worker_of == &im)
+        throw std::logic_error("DecodeService::drain() called from a result callback (a worker "
+                               "thread of this service); it would wait for itself forever");
     std::unique_lock<std::mutex> lock(im.mu_);
     im.drain_cv_.wait(lock, [&im] { return im.total_pending_ == 0 && im.in_flight_ == 0; });
 }
 
 void DecodeService::stop() {
     Impl& im = *impl_;
+    // From a result callback the join loop would join the calling worker
+    // itself; refuse before touching any state, so the destructor's stop()
+    // still joins every worker.
+    if (tl_worker_of == &im)
+        throw std::logic_error("DecodeService::stop() called from a result callback (a worker "
+                               "thread of this service); a worker cannot join itself");
     {
         const std::lock_guard<std::mutex> lock(im.join_mu_);
         if (im.joined_) return;

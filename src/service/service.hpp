@@ -45,10 +45,13 @@
 // delivery lock. They may call submit() (e.g. to feed a decode pipeline),
 // but with Admission::Block a callback that blocks on a full queue can
 // stall its worker — use Admission::Reject (or dimension the queue) for
-// feedback traffic. Callbacks must not call drain(), stop() or block on
-// other streams' results. A callback that throws is counted in
+// feedback traffic. Callbacks must not block on other streams' results.
+// drain() and stop() called from a callback (a worker thread of the same
+// service) throw std::logic_error before touching any state: drain() would
+// wait for the caller's own batch and stop() would join the caller's own
+// thread. A callback that throws — this error included — is counted in
 // ServiceMetrics::callback_failures; the stream's later results are still
-// delivered, in order.
+// delivered, in order, and the service stops cleanly when destroyed.
 #pragma once
 
 #include <chrono>
@@ -136,11 +139,13 @@ public:
     SubmitStatus submit(StreamId stream, std::span<const double> llr);
 
     /// Blocks until every frame accepted so far has been delivered. New
-    /// frames submitted while draining extend the wait.
+    /// frames submitted while draining extend the wait. Throws
+    /// std::logic_error when called from this service's result callback.
     void drain();
 
     /// Closes intake (submit returns Closed), decodes everything already
-    /// accepted, delivers it, and joins the workers. Idempotent.
+    /// accepted, delivers it, and joins the workers. Idempotent. Throws
+    /// std::logic_error when called from this service's result callback.
     void stop();
 
     /// Coherent snapshot of all counters/histograms; safe to call from any

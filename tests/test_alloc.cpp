@@ -12,17 +12,20 @@
 // and let an aligned-allocation regression through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
 #include "core/engine.hpp"
+#include "core/simd/batch_decoder.hpp"
 #include "enc/encoder.hpp"
 #include "quant/fixed.hpp"
 
@@ -245,7 +248,7 @@ TEST(AllocFree, LaneCompactionRefillsAreAllocFree) {
     // Maximum retire/refill churn: saturated exact-codeword frames converge
     // at iteration 1, sign-noise frames exhaust the budget, alternating —
     // every lane is retired and refilled several times per decode_batch
-    // (preferred_batch spans 4× the lane count). Lane compaction must run
+    // (preferred_batch spans two 16-bit lane blocks). Lane compaction must run
     // entirely on the pre-sized workspace: zero steady-state allocations,
     // including the per-frame convergence-telemetry recording.
     const auto& code = toy_code();
@@ -283,6 +286,42 @@ TEST(AllocFree, LaneCompactionRefillsAreAllocFree) {
     });
     EXPECT_EQ(count, 0u) << "lane compaction allocated in steady state ("
                          << eng->backend_name() << ")";
+}
+
+TEST(AllocFree, FramePerLaneStreamsAreAllocFreeOnBothLaneWidths) {
+    // The frame-per-lane decoder picks its lane width from the range
+    // certificate: kQuant6 runs 16-bit lanes, a 14-bit quantizer (vn sums
+    // past 32767) keeps 32-bit lanes. On both, a steady-state decode_stream
+    // with lane refills must run on the pre-sized workspace.
+    const auto& code = toy_code();
+    const auto n = static_cast<std::size_t>(code.n());
+    for (const auto& [spec, bits] :
+         {std::pair{dq::kQuant6, 16}, std::pair{dq::QuantSpec{14, 4}, 32}}) {
+        dd::DecoderConfig cfg;
+        cfg.rule = dd::CheckRule::MinSum;
+        cfg.max_iterations = 4;
+        dd::SimdBatchFixedDecoder dec(code, cfg, spec);
+        ASSERT_EQ(dec.lane_bits(), bits);
+        const auto frames = static_cast<std::size_t>(2 * dec.lanes() + 1);
+        std::vector<dq::QLLR> flat(frames * n);
+        for (std::size_t i = 0; i < flat.size(); ++i)
+            flat[i] = static_cast<dq::QLLR>(static_cast<int>(i * 7 % 23) - 11);
+        struct Src {
+            const dq::QLLR* data;
+            std::size_t n;
+        } src{flat.data(), n};
+        const auto source = [](void* ctx, std::size_t f, dq::QLLR* dst) {
+            const auto* s = static_cast<const Src*>(ctx);
+            std::copy(s->data + f * s->n, s->data + (f + 1) * s->n, dst);
+        };
+        std::vector<dd::DecodeResult> out(frames);
+        dec.decode_stream(frames, source, &src, out.data());  // warmup sizes results
+        const auto count = allocations_during([&] {
+            for (int rep = 0; rep < 3; ++rep) dec.decode_stream(frames, source, &src, out.data());
+        });
+        EXPECT_EQ(count, 0u) << "steady-state decode_stream allocated on " << bits
+                             << "-bit lanes";
+    }
 }
 
 TEST(AllocFree, FixedRawDecodeInto) {

@@ -99,6 +99,14 @@ void expect_same_result(const dd::DecodeResult& a, const dd::DecodeResult& b,
     EXPECT_EQ(BitVec::hamming_distance(a.info_bits, b.info_bits), 0u) << context;
 }
 
+/// Lane count of the frame-per-lane decoder for the q6 specs on `code`
+/// (every q6 spec on a standard or toy code runs 16-bit lanes, so they all
+/// share it).
+std::size_t batch_lanes(const dc::Dvbs2Code& code) {
+    return static_cast<std::size_t>(
+        dd::SimdBatchFixedDecoder(code, dd::DecoderConfig{}, dq::kQuant6).lanes());
+}
+
 /// Decodes `frames` frames of `block` per-frame through a scalar fixed
 /// engine — the reference every SIMD result must reproduce bit for bit.
 std::vector<dd::DecodeResult> scalar_reference(const dc::Dvbs2Code& code,
@@ -204,8 +212,7 @@ TEST_P(ConvergenceAllRates, EarlyTerminationBitIdenticalToScalar) {
         std::find(short_rates.begin(), short_rates.end(), rate) != short_rates.end();
     const dc::Dvbs2Code code(
         dc::standard_params(rate, has_short ? dc::FrameSize::Short : dc::FrameSize::Long));
-    const auto frames =
-        static_cast<std::size_t>(dd::SimdBatchFixedDecoder::lanes()) + 2;  // forces a refill
+    const auto frames = batch_lanes(code) + 2;  // forces a refill
     // 1 dB frames often exhaust the 8-iteration budget; 4 dB frames converge
     // in a couple — a genuinely mixed batch on every rate.
     const std::vector<double> block = mixed_block(code, frames, 1.0, 4.0);
@@ -329,7 +336,7 @@ TEST(LaneCompaction, BatchSmallerThanPreferredBatch) {
 
 TEST(LaneCompaction, AllLanesConvergeAtIterationOne) {
     const auto& code = toy_code();
-    const auto frames = static_cast<std::size_t>(2 * dd::SimdBatchFixedDecoder::lanes() + 1);
+    const auto frames = 2 * batch_lanes(code) + 1;
     std::vector<double> block;
     for (std::size_t f = 0; f < frames; ++f) {
         const auto llr = exact_codeword_llrs(code, 40 + f);
@@ -353,7 +360,7 @@ TEST(LaneCompaction, AllLanesConvergeAtIterationOne) {
 
 TEST(LaneCompaction, NoLaneConvergesBudgetExhaustion) {
     const auto& code = toy_code();
-    const auto frames = static_cast<std::size_t>(dd::SimdBatchFixedDecoder::lanes() + 3);
+    const auto frames = batch_lanes(code) + 3;
     std::vector<double> block;
     for (std::size_t f = 0; f < frames; ++f) {
         const auto llr = hopeless_llrs(code, 1000 + f);
@@ -410,7 +417,7 @@ TEST(LaneCompaction, AdversarialRetirementOrder) {
     // original occupants are still iterating, and the late lanes retire in
     // reverse arrival order.
     const auto& code = toy_code();
-    const auto lanes = static_cast<std::size_t>(dd::SimdBatchFixedDecoder::lanes());
+    const auto lanes = batch_lanes(code);
     std::vector<double> block;
     for (std::size_t f = 0; f < lanes; ++f) {
         const auto llr = hopeless_llrs(code, 9000 + f);
@@ -436,7 +443,7 @@ TEST(LaneCompaction, AdversarialRetirementOrder) {
 
 TEST(LaneCompaction, ZeroIterationBudgetHardensFromChannel) {
     const auto& code = toy_code();
-    const auto frames = static_cast<std::size_t>(dd::SimdBatchFixedDecoder::lanes() + 1);
+    const auto frames = batch_lanes(code) + 1;
     const auto block = mixed_block(code, frames, 1.0, 5.0, 60);
     for (const dd::Schedule schedule : kAllSchedules) {
         const auto spec = spec_of(dd::DecoderBackend::Simd, schedule,
@@ -456,7 +463,7 @@ TEST(LaneCompaction, ZeroIterationBudgetHardensFromChannel) {
 
 TEST(LaneCompaction, EarlyStopOffStillMatchesScalar) {
     const auto& code = toy_code();
-    const auto frames = static_cast<std::size_t>(dd::SimdBatchFixedDecoder::lanes() + 2);
+    const auto frames = batch_lanes(code) + 2;
     const auto block = mixed_block(code, frames, 1.0, 5.0, 70);
     for (const dd::Schedule schedule : kAllSchedules) {
         const auto spec = spec_of(dd::DecoderBackend::Simd, schedule,

@@ -18,7 +18,8 @@
 //   * metrics consistency — conservation laws between the admission,
 //     scheduler and delivery counters after drain;
 //   * throwing callbacks — counted in callback_failures, never fatal, and
-//     the stream's later results still arrive in order.
+//     the stream's later results still arrive in order; a callback calling
+//     stop() or drain() on its own service is refused the same way.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -370,6 +371,50 @@ TEST(Service, ThrowingCallbackIsCountedAndDeliveryContinuesInOrder) {
     EXPECT_EQ(m.decoded, 2 * kFrames);
     EXPECT_EQ(m.decode_failures, 0u);
     EXPECT_EQ(m.ordering_violations, 0u);
+}
+
+TEST(Service, CallbackCallingStopOrDrainIsCountedNotFatal) {
+    // Regression: stop() from a result callback joined its own worker, the
+    // throw skipped the remaining joins, and the destructor then ended the
+    // process in std::terminate; drain() from a callback waited for its own
+    // batch forever. Both now throw std::logic_error on a worker thread of
+    // the same service, before touching any state: the throw is counted like
+    // any failing callback, delivery continues, and destruction stops
+    // cleanly.
+    std::atomic<int> refused{0};
+    {
+        ds::DecodeService svc(quick_config(2, 8, ds::Admission::Block));
+        const auto cls = svc.add_class(toy_code(), toy_spec(dd::DecoderBackend::Scalar));
+        ds::DecodeService* psvc = &svc;
+        const auto reenter = [&refused, psvc](void (ds::DecodeService::*call)()) {
+            return [&refused, psvc, call](const ds::StreamResult&) {
+                try {
+                    (psvc->*call)();
+                } catch (const std::logic_error&) {
+                    ++refused;
+                    throw;
+                }
+            };
+        };
+        const auto stopper = svc.open_stream(cls, reenter(&ds::DecodeService::stop));
+        const auto drainer = svc.open_stream(cls, reenter(&ds::DecodeService::drain));
+        std::atomic<int> quiet_seen{0};
+        const auto quiet = svc.open_stream(cls, [&](const ds::StreamResult&) { ++quiet_seen; });
+        std::vector<double> frame(svc.class_frame_length(cls), 2.0);
+        ASSERT_EQ(svc.submit(stopper, frame), ds::SubmitStatus::Accepted);
+        ASSERT_EQ(svc.submit(drainer, frame), ds::SubmitStatus::Accepted);
+        svc.drain();
+        // the refused stop() left intake open and the workers running
+        ASSERT_EQ(svc.submit(quiet, frame), ds::SubmitStatus::Accepted);
+        svc.drain();
+        EXPECT_EQ(quiet_seen.load(), 1);
+        const auto m = svc.metrics();
+        EXPECT_EQ(m.callback_failures, 2u);
+        EXPECT_EQ(m.decoded, 3u);
+        EXPECT_EQ(m.decode_failures, 0u);
+        EXPECT_EQ(m.ordering_violations, 0u);
+    }  // the destructor's stop() joins both workers
+    EXPECT_EQ(refused.load(), 2);
 }
 
 TEST(Service, ConfigValidationRejectsZeroCapacityAndNegativeLinger) {

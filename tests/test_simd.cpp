@@ -1,23 +1,31 @@
-// SIMD backend bit-exactness suite: pins SimdFixedDecoder to the scalar
-// MpDecoder<FixedArith> reference, message for message. Any lane-arith,
-// gather, or lockstep-hazard regression (see the snapshot discussion in
-// src/core/simd/simd_decoder.cpp) shows up here as a first-divergence index.
+// SIMD backend bit-exactness suite: pins SimdFixedDecoder (group-parallel)
+// and SimdBatchFixedDecoder (frame-per-lane, fused variable phase, 16- or
+// 32-bit lanes) to the scalar MpDecoder<FixedArith> reference, message for
+// message. Any lane-arith, gather, staircase, fusion or lockstep-hazard
+// regression (see the snapshot discussion in src/core/simd/simd_decoder.cpp)
+// shows up here as a first-divergence index. The LaneWidth suite pins the
+// frame-per-lane decoder's choice of lane width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "analysis/ir/absint.hpp"
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
 #include "comm/modem.hpp"
 #include "core/arith.hpp"
 #include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "core/mp_decoder.hpp"
+#include "core/simd/batch_decoder.hpp"
 #include "core/simd/simd_decoder.hpp"
 #include "enc/encoder.hpp"
 #include "quant/fixed.hpp"
@@ -121,6 +129,72 @@ void expect_results_equal(const dd::DecodeResult& a, const dd::DecodeResult& b,
         ASSERT_EQ(a.info_bits.get(i), b.info_bits.get(i)) << context << ": info bit " << i;
 }
 
+/// The adversarial witness channel of the spec's range certificate
+/// (analysis/ir/absint.hpp), quantized: every value on the saturation rail,
+/// which drives the datapath to its proven peaks.
+std::vector<dq::QLLR> witness_channel(const dc::Dvbs2Code& code, const dd::DecoderConfig& cfg,
+                                      const dq::QuantSpec& spec) {
+    namespace ir = dvbs2::analysis::ir;
+    const ir::RangeCertificate cert =
+        dd::engine_range_certificate(dd::EngineSpec{dd::Arithmetic::Fixed, cfg, spec});
+    const std::vector<double> llrs = ir::witness_llrs(ir::concretize_witness(cert), code.n());
+    std::vector<dq::QLLR> ch(llrs.size());
+    for (std::size_t i = 0; i < llrs.size(); ++i) ch[i] = dq::quantize(llrs[i], spec);
+    return ch;
+}
+
+void expect_words_equal(const std::vector<dq::QLLR>& want, const std::vector<dq::QLLR>& got,
+                        const std::string& context) {
+    ASSERT_EQ(want.size(), got.size()) << context;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(want[i], got[i]) << context << ": first c2v divergence at index " << i;
+}
+
+/// Loads one channel per lane into the frame-per-lane decoder and checks
+/// every lane's c2v state against a scalar decode of that lane's channel
+/// after 1 and after 10 iterations.
+void expect_lanes_match_scalar(const dc::Dvbs2Code& code, const dd::DecoderConfig& cfg,
+                               const dq::QuantSpec& spec, dd::SimdBatchFixedDecoder& batch,
+                               const std::vector<std::vector<dq::QLLR>>& channels,
+                               const std::string& context) {
+    const dq::BoxplusTable table(spec);
+    auto scalar = make_scalar(code, cfg, spec, &table);
+    std::vector<dq::QLLR> flat;
+    for (const auto& ch : channels) flat.insert(flat.end(), ch.begin(), ch.end());
+    const std::size_t frames = channels.size();
+    batch.run_iterations(flat, frames, 1);
+    std::vector<std::vector<dq::QLLR>> after1(frames);
+    for (std::size_t l = 0; l < frames; ++l) after1[l] = batch.c2v_messages(l);
+    batch.run_iterations(flat, frames, 10);
+    for (std::size_t l = 0; l < frames; ++l) {
+        const std::string lane = context + "/lane" + std::to_string(l);
+        scalar.begin(channels[l]);
+        scalar.step();
+        expect_words_equal(scalar.c2v_messages(), after1[l], lane + "/it1");
+        if (::testing::Test::HasFatalFailure()) return;
+        for (int it = 1; it < 10; ++it) scalar.step();
+        expect_words_equal(scalar.c2v_messages(), batch.c2v_messages(l), lane + "/it10");
+        if (::testing::Test::HasFatalFailure()) return;
+    }
+}
+
+/// The frame-per-lane check of one (code, cfg, spec): every lane a distinct
+/// full-range random channel, then the certificate's witness channel.
+void expect_frame_per_lane_matches_scalar(const dc::Dvbs2Code& code,
+                                          const dd::DecoderConfig& cfg,
+                                          const dq::QuantSpec& spec, std::uint64_t seed,
+                                          const std::string& context) {
+    dd::SimdBatchFixedDecoder batch(code, cfg, spec);
+    std::vector<std::vector<dq::QLLR>> channels;
+    for (int l = 0; l < batch.lanes(); ++l)
+        channels.push_back(random_channel(code, spec, seed + static_cast<std::uint64_t>(l)));
+    const std::string ctx = context + "/int" + std::to_string(batch.lane_bits());
+    expect_lanes_match_scalar(code, cfg, spec, batch, channels, ctx + "/random");
+    if (::testing::Test::HasFatalFailure()) return;
+    expect_lanes_match_scalar(code, cfg, spec, batch, {witness_channel(code, cfg, spec)},
+                              ctx + "/witness");
+}
+
 std::string sanitize(std::string s) {
     std::string out;
     for (char c : s)
@@ -170,6 +244,26 @@ TEST_P(SimdRateBitExactTest, MessagesMatchScalarAfter1And10Iterations) {
     }
 }
 
+TEST_P(SimdRateBitExactTest, FramePerLaneMatchesScalarAfter1And10Iterations) {
+    // Short frames keep the sweep cheap; 9/10 has no short frame.
+    const auto short_rates = dc::rates_for(dc::FrameSize::Short);
+    const bool has_short = std::find(short_rates.begin(), short_rates.end(), GetParam()) !=
+                           short_rates.end();
+    const dc::Dvbs2Code code(dc::standard_params(
+        GetParam(), has_short ? dc::FrameSize::Short : dc::FrameSize::Long));
+    for (const dd::Schedule schedule : kAllSchedules) {
+        for (const dq::QuantSpec& spec : {dq::kQuant6, dq::kQuant5}) {
+            dd::DecoderConfig cfg;
+            cfg.schedule = schedule;
+            cfg.rule = dd::CheckRule::Exact;
+            expect_frame_per_lane_matches_scalar(
+                code, cfg, spec, 0xF1A0000 + static_cast<std::uint64_t>(spec.total_bits),
+                std::string(dd::to_string(schedule)) + "/q" + std::to_string(spec.total_bits));
+            if (HasFatalFailure()) return;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllShippedRates, SimdRateBitExactTest,
                          ::testing::ValuesIn(dc::all_rates()),
                          [](const ::testing::TestParamInfo<dc::CodeRate>& info) {
@@ -193,6 +287,20 @@ TEST_P(SimdRuleBitExactTest, MessagesMatchScalarOnFullSizeCode) {
         scalar.run_iterations(ch, 10);
         simd.run_iterations(ch, 10);
         expect_messages_equal(scalar, simd, dd::to_string(schedule));
+        if (HasFatalFailure()) return;
+    }
+}
+
+TEST_P(SimdRuleBitExactTest, FramePerLaneMatchesScalarOnShortFrame) {
+    // Short frame: every lane runs its own scalar reference, so a long one
+    // costs 4x for no extra lane-arithmetic coverage.
+    const dc::Dvbs2Code code(dc::standard_params(dc::CodeRate::R1_2, dc::FrameSize::Short));
+    for (const dd::Schedule schedule : kAllSchedules) {
+        dd::DecoderConfig cfg;
+        cfg.schedule = schedule;
+        cfg.rule = GetParam();
+        expect_frame_per_lane_matches_scalar(code, cfg, dq::kQuant6, 0xAB1200,
+                                             dd::to_string(schedule));
         if (HasFatalFailure()) return;
     }
 }
@@ -360,4 +468,162 @@ TEST(SimdGoldenBer, SimulatePointTalliesMatchScalarBackend) {
         EXPECT_EQ(a.undetected_frame_errors, b.undetected_frame_errors) << context;
         EXPECT_DOUBLE_EQ(a.avg_iterations, b.avg_iterations) << context;
     }
+}
+
+// ------------------------------------------- frame-per-lane lane width
+//
+// SimdBatchFixedDecoder computes in 16-bit lanes only when the range
+// certificate proves every value fits, the certificate covers the code's
+// degrees, and (Exact rule) the correction staircase is short enough;
+// otherwise in 32-bit lanes. Both widths must stay bit-exact.
+
+namespace {
+
+constexpr dd::CheckRule kAllRules[] = {dd::CheckRule::Exact, dd::CheckRule::MinSum,
+                                       dd::CheckRule::NormalizedMinSum,
+                                       dd::CheckRule::OffsetMinSum};
+
+dd::DecoderConfig config_of(dd::Schedule schedule, dd::CheckRule rule) {
+    dd::DecoderConfig cfg;
+    cfg.schedule = schedule;
+    cfg.rule = rule;
+    return cfg;
+}
+
+int lane_bits_of(const dc::Dvbs2Code& code, const dd::DecoderConfig& cfg,
+                 const dq::QuantSpec& spec) {
+    return dd::SimdBatchFixedDecoder(code, cfg, spec).lane_bits();
+}
+
+/// Every schedule of (rule, spec) on `code` runs `bits`-wide lanes and
+/// stays message-exact with the scalar reference.
+void expect_width_and_exactness(const dc::Dvbs2Code& code, dd::CheckRule rule,
+                                const dq::QuantSpec& spec, int bits) {
+    for (const dd::Schedule schedule : kAllSchedules) {
+        const dd::DecoderConfig cfg = config_of(schedule, rule);
+        const dd::SimdBatchFixedDecoder batch(code, cfg, spec);
+        ASSERT_EQ(batch.lane_bits(), bits) << dd::to_string(schedule);
+        EXPECT_EQ(batch.lanes(), bits == 32 ? dd::simd_backend_width()
+                                            : 2 * dd::simd_backend_width());
+        expect_frame_per_lane_matches_scalar(code, cfg, spec, 0x1A7E,
+                                             dd::to_string(schedule));
+        if (::testing::Test::HasFatalFailure()) return;
+    }
+}
+
+}  // namespace
+
+TEST(LaneWidth, StaircaseReproducesTheCorrectionTable) {
+    // The 16-bit lanes' Exact correction is a compare staircase derived from
+    // BoxplusTable: it must equal the table at every index a combine can
+    // form, |a ± b| in 0..2·max_raw, for every quantizer the lanes take.
+    EXPECT_EQ(dq::BoxplusTable(dq::kQuant6).corr_thresholds(), (std::vector<dq::QLLR>{1, 4, 9}));
+    EXPECT_EQ(dq::BoxplusTable(dq::kQuant5).corr_thresholds(), (std::vector<dq::QLLR>{3}));
+    int narrowing = 0;
+    for (int total = 3; total <= 10; ++total) {
+        for (int frac = 0; frac <= 4 && frac < total; ++frac) {
+            const dq::QuantSpec spec{total, frac};
+            const dd::DecoderConfig cfg = config_of(dd::Schedule::ZigzagForward,
+                                                    dd::CheckRule::Exact);
+            if (lane_bits_of(toy_code(), cfg, spec) != 16) continue;
+            ++narrowing;
+            const dq::BoxplusTable table(spec);
+            const std::vector<dq::QLLR> t = table.corr_thresholds();
+            EXPECT_EQ(static_cast<dq::QLLR>(t.size()), table.corr(0));
+            for (dq::QLLR x = 0; x <= 2 * spec.max_raw(); ++x) {
+                const auto below = std::count_if(t.begin(), t.end(),
+                                                 [x](dq::QLLR th) { return x < th; });
+                ASSERT_EQ(below, table.corr(x)) << "q" << total << "." << frac << " at " << x;
+            }
+        }
+    }
+    EXPECT_GE(narrowing, 2);  // kQuant6 and kQuant5 at least
+}
+
+TEST(LaneWidth, EveryShippedSpecRuns16BitLanes) {
+    // 4 rules × 5 schedules × kQuant6/kQuant5, on the two codes at the
+    // family envelope's corners: rate 2/3 has the largest information
+    // degree (13), rate 9/10 the largest check degree.
+    for (const dc::CodeRate rate : {dc::CodeRate::R2_3, dc::CodeRate::R9_10}) {
+        const dc::Dvbs2Code code(dc::standard_params(rate));
+        ASSERT_TRUE(dd::range_certificate_covers(code)) << dc::to_string(rate);
+        int specs = 0;
+        for (const dd::CheckRule rule : kAllRules)
+            for (const dd::Schedule schedule : kAllSchedules)
+                for (const dq::QuantSpec& spec : {dq::kQuant6, dq::kQuant5}) {
+                    EXPECT_EQ(lane_bits_of(code, config_of(schedule, rule), spec), 16)
+                        << dc::to_string(rate) << " " << dd::to_string(rule) << " "
+                        << dd::to_string(schedule) << " q" << spec.total_bits;
+                    ++specs;
+                }
+        EXPECT_EQ(specs, 40);
+    }
+}
+
+TEST(LaneWidth, WideVnSumTakes32BitLanesAndStaysBitExact) {
+    // {14, 4}: the certified vn sum, max_raw·(1 + 13) = 114,674, exceeds
+    // 32767; min-sum, so the staircase plays no part.
+    const dq::QuantSpec wide{14, 4};
+    const auto cert = dd::engine_range_certificate(dd::EngineSpec{
+        dd::Arithmetic::Fixed, config_of(dd::Schedule::ZigzagForward, dd::CheckRule::MinSum),
+        wide});
+    ASSERT_TRUE(cert.ok);
+    long long vn_sum = 0;
+    for (const auto& st : cert.stages)
+        if (st.stage == "vn-accumulate") vn_sum = st.worst;
+    EXPECT_GT(vn_sum, 32767);
+    expect_width_and_exactness(toy_code(), dd::CheckRule::MinSum, wide, 32);
+}
+
+TEST(LaneWidth, LongStaircaseTakes32BitLanesAndStaysBitExact) {
+    // {8, 4}: corr(0) = round(16 ln 2) = 11 steps, past kMaxCorrSteps. The
+    // same quantizer under min-sum (no correction) narrows, so the
+    // staircase is the only reason.
+    const dq::QuantSpec fine{8, 4};
+    EXPECT_EQ(dq::BoxplusTable(fine).corr(0), 11);
+    EXPECT_EQ(lane_bits_of(toy_code(),
+                           config_of(dd::Schedule::ZigzagForward, dd::CheckRule::MinSum), fine),
+              16);
+    expect_width_and_exactness(toy_code(), dd::CheckRule::Exact, fine, 32);
+}
+
+TEST(LaneWidth, CodeBeyondTheEnvelopeTakes32BitLanesAndStaysBitExact) {
+    // Information degree 17 > 13, the envelope's largest: the certificate
+    // does not cover this code, so q6 keeps 32-bit lanes on it.
+    const dc::Dvbs2Code code(dc::toy_params(12, 13, 1, 17, 3));
+    ASSERT_FALSE(dd::range_certificate_covers(code));
+    expect_width_and_exactness(code, dd::CheckRule::Exact, dq::kQuant6, 32);
+}
+
+TEST(LaneWidth, EarlyStopOnRateQuarterLongMatchesScalar) {
+    // m = 48,600 checks: the per-lane early-stop flag is OR-accumulated over
+    // every check on 16-bit lanes. Lanes at 6 dB mostly converge within a
+    // few iterations, lanes at −1 dB exhaust the 30-iteration budget;
+    // iteration counts, converged flags and codewords must equal the scalar
+    // decodes.
+    const dc::Dvbs2Code code(dc::standard_params(dc::CodeRate::R1_4));
+    const dd::DecoderConfig cfg = config_of(dd::Schedule::ZigzagForward, dd::CheckRule::Exact);
+    dd::SimdBatchFixedDecoder batch(code, cfg, dq::kQuant6);
+    ASSERT_EQ(batch.lane_bits(), 16);
+    const auto frames = static_cast<std::size_t>(batch.lanes());
+    const auto n = static_cast<std::size_t>(code.n());
+    std::vector<dq::QLLR> flat;
+    for (std::size_t f = 0; f < frames; ++f) {
+        const auto llr = noisy_llrs(code, f % 2 ? 6.0 : -1.0, 0x1D4 + f);
+        for (const double x : llr) flat.push_back(dq::quantize(x, dq::kQuant6));
+    }
+    std::vector<dd::DecodeResult> got(frames);
+    batch.decode_into(flat, frames, got.data());
+
+    const dq::BoxplusTable table(dq::kQuant6);
+    auto scalar = make_scalar(code, cfg, dq::kQuant6, &table);
+    int converged = 0;
+    for (std::size_t f = 0; f < frames; ++f) {
+        dd::DecodeResult want;
+        scalar.decode_into(std::span<const dq::QLLR>(flat).subspan(f * n, n), want);
+        expect_results_equal(want, got[f], "frame " + std::to_string(f));
+        converged += want.converged ? 1 : 0;
+    }
+    EXPECT_GT(converged, 0);
+    EXPECT_LT(converged, static_cast<int>(frames));
 }
