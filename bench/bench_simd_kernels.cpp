@@ -24,7 +24,9 @@
 // Flags:
 //   --rate=1/2        code rate under test (default 1/2)
 //   --iters=10        message-passing iterations per frame
-//   --frames=8        timed frames per engine (after 1 warmup run)
+//   --frames=W        timed frames per engine (after 1 warmup run); default
+//                     one full frame-per-lane block, the batch decoder's
+//                     lanes()
 //   --snr=2.0         Eb/N0 (dB) of the early-termination section
 //   --es-frames=32    noisy frames of the early-termination section
 //   --json=PATH       write machine-readable results (BENCH_decoder.json)
@@ -209,16 +211,19 @@ int main(int argc, char** argv) try {
     util::CliArgs args(argc, argv, {"rate", "iters", "frames", "snr", "es-frames", "json"});
     const code::CodeRate rate = bench::parse_rate(args.get("rate", "1/2"));
     const int iters = static_cast<int>(args.get_int("iters", 10));
-    const int frames = static_cast<int>(args.get_int("frames", 8));
     const double snr_db = args.get_double("snr", 2.0);
     const int es_frames = static_cast<int>(args.get_int("es-frames", 32));
+
+    const code::Dvbs2Code code(code::standard_params(rate));
+    core::DecoderConfig exact;
+    exact.rule = core::CheckRule::Exact;
+    const int frames = static_cast<int>(args.get_int(
+        "frames", core::SimdBatchFixedDecoder(code, exact, quant::kQuant6).lanes()));
 
     bench::banner("SIMD", "SIMD lane mappings vs scalar reference (1 thread)");
     std::cout << "backend=" << core::simd_backend_name() << " width=" << core::simd_backend_width()
               << " rate=" << code::to_string(rate) << " iters=" << iters << " frames=" << frames
               << "\n\n";
-
-    const code::Dvbs2Code code(code::standard_params(rate));
     const auto n = static_cast<std::size_t>(code.n());
     std::vector<std::vector<quant::QLLR>> channels;
     std::vector<quant::QLLR> flat;  // frame-major concatenation for batches

@@ -25,13 +25,12 @@ Report lint_configuration(const code::CodeParams& params, const code::IraTables&
     try {
         const code::Dvbs2Code code(params, tables);
         arch::HardwareMapping mapping(code);
-        if (opts.run_anneal) {
+        if (opts.run_anneal && arch::memory_config_error(opts.memory).empty()) {
             arch::AnnealConfig acfg = opts.anneal;
             acfg.memory = opts.memory;
             arch::anneal_addressing(mapping, acfg);
         }
         rep.merge(lint_schedule(mapping));
-        rep.merge(lint_memory(mapping, opts.memory, opts.buffer_depth));
         DataflowOptions dopts;
         dopts.memory = opts.memory;
         dopts.buffer_depth = opts.buffer_depth;

@@ -1,7 +1,9 @@
-// Aggregating entry point of the static analyzer: runs every rule family
-// over one (code table, decoder config, architecture config) triple in
-// dependency order and returns one merged Report. This is the library API
-// behind the `dvbs2_lint` CLI and the ctest lint tier.
+// Aggregating entry point of the static analyzer: runs the four rule
+// families (code structure, schedule legality, schedule dataflow with the
+// RAM-port drain, fixed-point range) over one (code table, decoder config,
+// architecture config) triple in dependency order and returns one merged
+// Report. This is the library API behind the `dvbs2_lint` CLI and the ctest
+// lint tier.
 #pragma once
 
 #include <optional>
@@ -10,7 +12,6 @@
 #include "analysis/diag.hpp"
 #include "analysis/lint_code.hpp"
 #include "analysis/lint_dataflow.hpp"
-#include "analysis/lint_memory.hpp"
 #include "analysis/lint_range.hpp"
 #include "analysis/lint_range_ir.hpp"
 #include "analysis/lint_schedule.hpp"
@@ -35,6 +36,9 @@ struct LintOptions {
 /// Runs all four rule families over `params` with explicit `tables`.
 /// Code-structure errors stop the dependent families (their inputs would be
 /// unconstructible); range analysis always runs (it needs only parameters).
+/// A degenerate memory config is one schedule.dataflow.config error: the
+/// annealer and the port drain, which need a working conflict model, are
+/// skipped, and every other rule still runs.
 Report lint_configuration(const code::CodeParams& params, const code::IraTables& tables,
                           const LintOptions& opts);
 

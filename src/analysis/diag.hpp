@@ -49,8 +49,8 @@ public:
 
     /// Findings whose rule id matches `rule` exactly.
     std::vector<Diagnostic> by_rule(const std::string& rule) const;
-    /// Findings whose rule id is `family` or lives under it ("mem" matches
-    /// "mem.config" but not "memory.config"); see rule_in_family.
+    /// Findings whose rule id is `family` or lives under it ("code" matches
+    /// "code.params" but not "codebook.params"); see rule_in_family.
     std::vector<Diagnostic> by_family(const std::string& family) const;
     /// True iff at least one finding has rule id `rule`.
     bool has(const std::string& rule) const;

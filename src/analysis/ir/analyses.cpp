@@ -1,7 +1,6 @@
 #include "analysis/ir/analyses.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
 
 #include "util/error.hpp"
@@ -37,22 +36,6 @@ std::string phase_name_of(const Trace& trace, int phase) {
 /// both present.
 int measured_iteration(const Trace& trace) {
     return trace.dims.iterations >= 2 ? trace.dims.iterations - 2 : 0;
-}
-
-/// All current spaces hold per-frame decoder state; a future space modelling
-/// cross-frame sharing would return false here and void the frame-per-lane
-/// verdict for traces that touch it.
-bool space_is_frame_local(Space s) {
-    switch (s) {
-        case Space::MsgWord:
-        case Space::ZigzagFwd:
-        case Space::ZigzagBwd:
-        case Space::MapFwd:
-        case Space::UpSnapshot:
-        case Space::PostInfo:
-        case Space::PostParity: return true;
-    }
-    return false;
 }
 
 }  // namespace
@@ -214,8 +197,6 @@ ScheduleClass classify_one(core::Schedule s) {
     c.schedule = s;
     c.group_parallel_legal = par.lockstep_legal;
     if (par.violation) c.group_parallel_obstruction = par.violation->describe();
-    c.frame_per_lane_legal = std::all_of(trace.events.begin(), trace.events.end(),
-                                         [](const Event& ev) { return space_is_frame_local(ev.space); });
     return c;
 }
 
@@ -243,13 +224,14 @@ std::vector<SlotIssue> verify_slot_stream(const std::vector<SlotOp>& ops,
     const auto report = [&](SlotIssue si) {
         if (issues.size() < max_issues) issues.push_back(si);
     };
-    if (dims.q <= 0 || dims.ram_words <= 0) {
+    if (dims.q <= 0 || dims.slots_per_cn <= 0 || dims.ram_words <= 0) {
         report(SlotIssue{SlotIssueKind::UnitRange, -1, dims.ram_words, dims.q, -1, 0});
         return issues;
     }
 
     std::vector<int> reads(static_cast<std::size_t>(dims.ram_words), 0);
     std::vector<int> last(static_cast<std::size_t>(dims.q), -1);
+    std::vector<int> slots(static_cast<std::size_t>(dims.q), 0);
     std::vector<char> in_range(ops.size(), 0);
     for (std::size_t t = 0; t < ops.size(); ++t) {
         const SlotOp& op = ops[t];
@@ -265,6 +247,7 @@ std::vector<SlotIssue> verify_slot_stream(const std::vector<SlotOp>& ops,
         if (!ok) continue;
         in_range[t] = 1;
         ++reads[static_cast<std::size_t>(op.addr)];
+        ++slots[static_cast<std::size_t>(op.unit)];
         last[static_cast<std::size_t>(op.unit)] = static_cast<int>(t);
     }
 
@@ -296,51 +279,15 @@ std::vector<SlotIssue> verify_slot_stream(const std::vector<SlotOp>& ops,
             active = u;
         }
     }
+
+    // Run length: each CN combines exactly slots_per_cn information edges.
+    // With contiguous windows and ascending completion this pins the stream
+    // to q runs of slots_per_cn slots in local CN order.
+    for (int r = 0; r < dims.q; ++r)
+        if (slots[static_cast<std::size_t>(r)] != dims.slots_per_cn)
+            report(SlotIssue{SlotIssueKind::RunLength, last[static_cast<std::size_t>(r)], -1, r,
+                             -1, slots[static_cast<std::size_t>(r)]});
     return issues;
-}
-
-RamDrainStats drain_ram(const RamPhasePlan& plan, int num_banks, int max_writes_per_cycle) {
-    DVBS2_REQUIRE(num_banks >= 2, "drain_ram needs at least two banks");
-    DVBS2_REQUIRE(max_writes_per_cycle >= 1, "drain_ram needs at least one write port");
-
-    RamDrainStats st;
-    st.read_cycles = static_cast<int>(plan.read_addr.size());
-    std::deque<std::int32_t> pending;
-    std::size_t cycle = 0;
-    const auto bank_of = [&](std::int32_t addr) { return addr % num_banks; };
-
-    // One cycle of the paper's buffer policy, identical to
-    // arch::simulate_phase: enqueue newly ready write-backs, then issue up
-    // to max_writes_per_cycle of them to free banks, scanning the FIFO from
-    // the head with lookahead (each skipped entry is one blocked event).
-    const auto step = [&](bool has_read, int read_bank) {
-        if (cycle < plan.write_ready.size())
-            for (std::int32_t a : plan.write_ready[cycle]) pending.push_back(a);
-        if (static_cast<int>(pending.size()) > st.peak_pending)
-            st.peak_pending = static_cast<int>(pending.size());
-
-        int issued = 0;
-        std::vector<char> busy(static_cast<std::size_t>(num_banks), 0);
-        if (has_read) busy[static_cast<std::size_t>(read_bank)] = 1;
-        for (auto it = pending.begin(); it != pending.end() && issued < max_writes_per_cycle;) {
-            const int b = bank_of(*it);
-            if (!busy[static_cast<std::size_t>(b)]) {
-                busy[static_cast<std::size_t>(b)] = 1;
-                it = pending.erase(it);
-                ++issued;
-            } else {
-                ++st.blocked_events;
-                ++it;
-            }
-        }
-        st.pending_word_cycles += static_cast<long long>(pending.size());
-        ++cycle;
-    };
-
-    for (std::int32_t addr : plan.read_addr) step(/*has_read=*/true, bank_of(addr));
-    while (cycle < plan.write_ready.size() || !pending.empty()) step(/*has_read=*/false, 0);
-    st.cycles = static_cast<int>(cycle);
-    return st;
 }
 
 }  // namespace dvbs2::analysis::ir

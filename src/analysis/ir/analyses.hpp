@@ -1,5 +1,5 @@
 // Generic dataflow analyses over schedule traces (ir.hpp) and over the
-// RAM-port event streams the hardware mapping induces.
+// check-phase slot stream the hardware mapping induces.
 //
 // Trace analyses (dimension-independent dependence patterns):
 //   analyze_parallelism  reaching-def chains -> per-phase dependence levels
@@ -11,12 +11,11 @@
 //                        core::validate_engine_spec instead of a hardcoded
 //                        schedule set
 //
-// Port/slot-stream analyses (drive the schedule.dataflow.* lint rules):
-//   verify_slot_stream   read-once, chain use-before-def, and serial-FU
-//                        window checks over one check phase's slot ops
-//   drain_ram            deterministic FIFO-with-lookahead port drain over a
-//                        statically enumerated access plan; pinned bit-equal
-//                        to arch::simulate_phase by test
+// Slot-stream analysis (drives the schedule.dataflow.* slot rules; the port
+// drain is arch::simulate_phase):
+//   verify_slot_stream   read-once, chain use-before-def, serial-FU window
+//                        and run-length checks over one check phase's slot
+//                        ops
 #pragma once
 
 #include <array>
@@ -104,9 +103,6 @@ struct ScheduleClass {
     /// Why not, when illegal (LockstepViolation::describe of the first
     /// obstruction).
     std::string group_parallel_obstruction;
-    /// Legal with one frame per lane. Derived from the space inventory:
-    /// every space is frame-local, so lanes never exchange data.
-    bool frame_per_lane_legal = false;
 };
 
 /// Cached classification of `schedule` (thread-safe, computed once).
@@ -135,50 +131,26 @@ enum class SlotIssueKind {
                     ///< input is used before the producing unit defines it
     SerialOverlap,  ///< two CNs' accumulation windows interleave on one
                     ///< serial functional unit
+    RunLength,      ///< a local CN is served by != slots_per_cn slots
 };
 
 struct SlotIssue {
     SlotIssueKind kind{};
     int position = -1;  ///< slot index the issue was detected at (-1: n/a)
     int addr = -1;      ///< offending address (AddrRange/ReadCount)
-    int unit = -1;      ///< offending local CN (UnitRange/UseBeforeDef/SerialOverlap)
+    int unit = -1;      ///< offending local CN (UnitRange/UseBeforeDef/SerialOverlap/RunLength)
     int other = -1;     ///< the conflicting CN (SerialOverlap)
-    int count = 0;      ///< observed reads (ReadCount)
+    int count = 0;      ///< observed reads (ReadCount) or slots (RunLength)
 };
 
 /// Verifies one check phase's slot stream; returns at most `max_issues`
-/// findings (empty = proven clean). Subsumes the hand-coded sched.read-once
-/// and strict-zigzag-order rules with generic def/use reasoning over the
-/// completion order of the serial units.
+/// findings (empty = proven clean). Checks that every RAM word is read
+/// exactly once, that local CNs complete in ascending order, that each CN's
+/// slots are contiguous on its serial unit, and that each CN has exactly
+/// slots_per_cn of them — together, the stream is q runs of slots_per_cn
+/// slots sweeping local CNs 0..q-1, each word read once.
 std::vector<SlotIssue> verify_slot_stream(const std::vector<SlotOp>& ops,
                                           const SlotStreamDims& dims,
                                           std::size_t max_issues = 16);
-
-// ------------------------------------------------------- model: port drain
-
-/// Statically enumerated port traffic of one phase: cycle t reads
-/// read_addr[t]; write_ready[t] lists write-backs leaving the FU pipelines
-/// at cycle t (trailing cycles form the drain epilogue).
-struct RamPhasePlan {
-    std::vector<std::int32_t> read_addr;
-    std::vector<std::vector<std::int32_t>> write_ready;
-};
-
-/// Outcome of draining a plan through the conflict buffer. Field-for-field
-/// comparable with arch::ConflictStats (the pin tests assert equality of
-/// all five numbers).
-struct RamDrainStats {
-    int read_cycles = 0;
-    int cycles = 0;                      ///< reads + drain epilogue
-    int peak_pending = 0;                ///< peak FIFO occupancy (words)
-    long long pending_word_cycles = 0;   ///< total buffer residency
-    long long blocked_events = 0;        ///< write attempts deferred by a busy bank
-};
-
-/// Runs the deterministic drain recurrence: per cycle the read consumes its
-/// bank (bank = addr mod num_banks), then at most max_writes_per_cycle
-/// pending writes issue to free, mutually distinct banks, scanned FIFO from
-/// the head with lookahead (the paper's small-CAM buffer policy).
-RamDrainStats drain_ram(const RamPhasePlan& plan, int num_banks, int max_writes_per_cycle);
 
 }  // namespace dvbs2::analysis::ir

@@ -100,6 +100,13 @@ struct TraceDims {
     }
 };
 
+/// The default (scaled) dims carrying a code's worst per-firing fan-ins:
+/// `check_in_degree` information edges per check node, and information node
+/// 0 of degree `info_degree` (capped at the edge count), every other edge
+/// its own degree-1 node. Range bounds grow only with fan-in, never with m
+/// or N, so a range certificate at these dims covers the full-size code.
+TraceDims fan_in_trace_dims(int check_in_degree, int info_degree);
+
 /// A compiled schedule: the event sequence plus its shape metadata.
 struct Trace {
     core::Schedule schedule{};

@@ -8,6 +8,8 @@
 // assuming them.
 #include "analysis/ir/ir.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace dvbs2::analysis::ir {
@@ -23,6 +25,18 @@ const char* to_string(Space s) {
         case Space::PostParity: return "post-parity";
     }
     return "?";
+}
+
+TraceDims fan_in_trace_dims(int check_in_degree, int info_degree) {
+    TraceDims d;
+    d.check_in_degree = check_in_degree;
+    const long long e = d.e_in();
+    d.edge_variable.assign(static_cast<std::size_t>(e), 0);
+    std::int32_t next = 1;
+    for (long long ed = std::min<long long>(info_degree, e); ed < e; ++ed)
+        d.edge_variable[static_cast<std::size_t>(ed)] = next++;
+    d.num_info_nodes = next;
+    return d;
 }
 
 std::string describe_event(const Event& ev) {

@@ -74,7 +74,6 @@ Report lint_code_structure(const code::CodeParams& cp, const code::IraTables& ta
 
     const int m = cp.m();
     const int q = cp.q;
-    const int p = cp.parallelism;
 
     // Row count and per-row degrees against the declared profile.
     const auto groups = static_cast<std::size_t>(cp.groups());
@@ -131,29 +130,11 @@ Report lint_code_structure(const code::CodeParams& cp, const code::IraTables& ta
                     "rebalance entries across residue classes mod q");
     }
 
-    // Group-shift legality (Eq. 2): expanding entry x over the P lanes must
-    // visit check nodes of one common residue, one per functional unit.
-    for (std::size_t g = 0; g < tables.rows.size(); ++g) {
-        for (std::size_t l = 0; l < tables.rows[g].size(); ++l) {
-            const auto x = static_cast<long long>(tables.rows[g][l]);
-            const long long r = x % q;
-            std::vector<char> fu_seen(static_cast<std::size_t>(p), 0);
-            bool ok = true;
-            for (int i = 0; i < p && ok; ++i) {
-                const long long c = (x + static_cast<long long>(i) * q) % m;
-                if (c % q != r) ok = false;
-                else fu_seen[static_cast<std::size_t>(c / q)] = 1;
-            }
-            for (int f = 0; f < p && ok; ++f)
-                if (!fu_seen[static_cast<std::size_t>(f)]) ok = false;
-            if (!ok)
-                rep.add("code.group-shift", Severity::Error,
-                        entry_loc(g, l, tables.rows[g][l]),
-                        "the P expanded edges are not one cyclic shift over the functional "
-                        "units (Eq. 2 broken)",
-                        "requires q*P = N-K so that +q steps enumerate the FUs");
-        }
-    }
+    // Group-shift legality (Eq. 2) needs no rule of its own: lint_params
+    // proved q·P = N−K and the entry-range rule x < N−K, so lane i of entry x
+    // reaches (x + i·q) mod (N−K) = (x mod q) + q·((⌊x/q⌋ + i) mod P) — one
+    // common local CN x mod q on every FU, visited once each as a cyclic
+    // shift by ⌊x/q⌋.
 
     // Girth-4 inside the information part (collision-key count shared with
     // the generator) ...

@@ -13,8 +13,6 @@
 //   code.duplicate-entry  repeated address in one row (a double edge)
 //   code.check-regularity residue class r mod q does not hold exactly
 //                         check_deg-2 entries (breaks the slot schedule)
-//   code.group-shift      a group's P expanded edges are not one cyclic
-//                         shift of a base edge (Eq. 2 legality)
 //   code.girth4-info      4-cycle inside the information part
 //   code.girth4-zigzag    row contains chain-adjacent addresses x, x±1
 //                         (a 4-cycle through the zigzag chain)

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "analysis/ir/analyses.hpp"
-#include "analysis/lint_memory.hpp"
 
 namespace dvbs2::analysis {
 
@@ -13,7 +12,7 @@ std::string slot_location(int position) {
     return position >= 0 ? "slot " + std::to_string(position) : "check phase";
 }
 
-void report_slot_issues(Report& rep, const std::vector<ir::SlotIssue>& issues) {
+void report_slot_issues(Report& rep, const std::vector<ir::SlotIssue>& issues, int slots_per_cn) {
     using ir::SlotIssueKind;
     for (const ir::SlotIssue& si : issues) {
         switch (si.kind) {
@@ -48,33 +47,32 @@ void report_slot_issues(Report& rep, const std::vector<ir::SlotIssue>& issues) {
                             std::to_string(si.other),
                         "a serial functional unit accumulates one CN at a time");
                 break;
+            case SlotIssueKind::RunLength:
+                rep.add("schedule.dataflow.order", Severity::Error,
+                        "local CN " + std::to_string(si.unit),
+                        "served by " + std::to_string(si.count) + " slots, expected check_deg-2=" +
+                            std::to_string(slots_per_cn),
+                        "schedule runs of check_deg-2 slots in ascending local CN order");
+                break;
         }
     }
 }
 
-ir::RamPhasePlan to_ram_plan(const AccessPlan& plan) {
-    ir::RamPhasePlan out;
-    out.read_addr.assign(plan.read_addr.begin(), plan.read_addr.end());
-    out.write_ready.reserve(plan.ready_writes.size());
-    for (const auto& cycle : plan.ready_writes)
-        out.write_ready.emplace_back(cycle.begin(), cycle.end());
-    return out;
-}
-
-void report_drain(Report& rep, const char* phase, const ir::RamDrainStats& st, int buffer_depth) {
+void report_drain(Report& rep, const char* phase, const arch::ConflictStats& st,
+                  int buffer_depth) {
     const std::string loc = std::string(phase) + " phase";
-    if (st.peak_pending > buffer_depth)
+    if (st.peak_buffer > buffer_depth)
         rep.add("schedule.dataflow.ports-overflow", Severity::Error, loc,
-                "drained access plan needs " + std::to_string(st.peak_pending) +
+                "drained access plan needs " + std::to_string(st.peak_buffer) +
                     " buffer words but the design provides " + std::to_string(buffer_depth),
                 "deepen the buffer or re-anneal the address assignment");
     else
         rep.add("schedule.dataflow.ports", Severity::Note, loc,
-                "port drain: peak " + std::to_string(st.peak_pending) + " of " +
+                "port drain: peak " + std::to_string(st.peak_buffer) + " of " +
                     std::to_string(buffer_depth) + " buffer words, " +
-                    std::to_string(st.blocked_events) + " deferred writes, " +
-                    std::to_string(st.cycles) + " cycles (" + std::to_string(st.read_cycles) +
-                    " reads)");
+                    std::to_string(st.blocked_write_events) + " deferred writes, " +
+                    std::to_string(st.total_cycles) + " cycles (" +
+                    std::to_string(st.read_cycles) + " reads)");
 }
 
 std::string schedule_location(core::Schedule s) {
@@ -85,34 +83,43 @@ std::string schedule_location(core::Schedule s) {
 
 Report lint_dataflow(const ScheduleModel& model, const DataflowOptions& opts) {
     Report rep;
-    if (model.q <= 0 || model.slots_per_cn <= 0 || model.ram_words <= 0 || model.slots.empty() ||
-        opts.memory.num_banks < 2 || opts.memory.max_writes_per_cycle < 1 ||
-        opts.memory.pipeline_latency < 0 || opts.buffer_depth < 0) {
+    if (model.q <= 0 || model.slots_per_cn <= 0 || model.ram_words <= 0 || model.slots.empty()) {
         rep.add("schedule.dataflow.config", Severity::Error, "schedule model",
-                "degenerate model or memory configuration — nothing to prove",
+                "degenerate schedule model (q=" + std::to_string(model.q) + ", check_deg-2=" +
+                    std::to_string(model.slots_per_cn) + ", " + std::to_string(model.ram_words) +
+                    " RAM words, " + std::to_string(model.slots.size()) +
+                    " slots) — nothing to prove",
                 "build the model from a valid mapping");
         return rep;
     }
+    std::string memory_error = arch::memory_config_error(opts.memory);
+    if (memory_error.empty() && opts.buffer_depth < 0)
+        memory_error = "buffer_depth = " + std::to_string(opts.buffer_depth) +
+                       ": the conflict buffer cannot hold a negative number of words";
+    if (!memory_error.empty())
+        rep.add("schedule.dataflow.config", Severity::Error, "memory config", memory_error,
+                "the paper's design point is 4 banks, 2 write ports, latency 4, a 4-word buffer");
 
     std::vector<ir::SlotOp> ops;
     ops.reserve(model.slots.size());
     for (const arch::RomSlot& s : model.slots) ops.push_back(ir::SlotOp{s.addr, s.local_cn});
     const ir::SlotStreamDims dims{model.q, model.slots_per_cn, model.ram_words};
     const auto issues = ir::verify_slot_stream(ops, dims);
-    report_slot_issues(rep, issues);
+    report_slot_issues(rep, issues, model.slots_per_cn);
     if (issues.empty())
         rep.add("schedule.dataflow.read-once", Severity::Note, "check phase",
                 "all " + std::to_string(model.ram_words) +
                     " RAM words read exactly once; chain order and serial-FU windows verified");
 
-    const ir::RamDrainStats check =
-        ir::drain_ram(to_ram_plan(enumerate_check_phase(model, opts.memory)),
-                      opts.memory.num_banks, opts.memory.max_writes_per_cycle);
-    const ir::RamDrainStats variable =
-        ir::drain_ram(to_ram_plan(enumerate_variable_phase(model, opts.memory)),
-                      opts.memory.num_banks, opts.memory.max_writes_per_cycle);
-    report_drain(rep, "check", check, opts.buffer_depth);
-    report_drain(rep, "variable", variable, opts.buffer_depth);
+    // The drain needs a working conflict model, and its numbers describe a
+    // schedule only once the slot stream is proven legal.
+    if (!memory_error.empty() || !issues.empty()) return rep;
+    const arch::PhaseSchedule check =
+        arch::make_check_phase_schedule(model.slots, model.slots_per_cn, opts.memory);
+    const arch::PhaseSchedule variable = arch::make_variable_phase_schedule(
+        model.ram_words, model.row_base, model.row_degree, opts.memory);
+    report_drain(rep, "check", arch::simulate_phase(check, opts.memory), opts.buffer_depth);
+    report_drain(rep, "variable", arch::simulate_phase(variable, opts.memory), opts.buffer_depth);
     return rep;
 }
 
@@ -142,12 +149,8 @@ Report lint_dataflow(const code::Dvbs2Code& code, const arch::HardwareMapping& m
     const ir::ScheduleClass& cls = ir::classify_schedule(opts.schedule);
     rep.add("schedule.dataflow.simd-legal", Severity::Note, schedule_location(opts.schedule),
             cls.group_parallel_legal
-                ? std::string("proven legal for the group-parallel SIMD backend (lockstep "
-                              "lanes); frame-per-lane batching ") +
-                      (cls.frame_per_lane_legal ? "legal (all state frame-local)" : "illegal")
-                : "group-parallel SIMD illegal: " + cls.group_parallel_obstruction +
-                      "; frame-per-lane batching " +
-                      (cls.frame_per_lane_legal ? "legal (all state frame-local)" : "illegal"));
+                ? "proven legal for the group-parallel SIMD backend (lockstep lanes)"
+                : "group-parallel SIMD illegal: " + cls.group_parallel_obstruction);
 
     const ir::LivenessReport live = ir::analyze_liveness(trace);
     const ir::LivenessReport flood =

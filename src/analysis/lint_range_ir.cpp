@@ -10,21 +10,10 @@
 namespace dvbs2::analysis {
 
 ir::TraceDims range_trace_dims(const code::CodeParams& cp) {
-    // The scaled model dims every IR analysis runs at (P=4, q=3), carrying
-    // this code's worst-case fan-ins: its check in-degree and one
-    // information node of its highest degree. The abstract bounds grow only
-    // with per-firing fan-in, never with m or N, so the model covers the
-    // full-size code.
-    ir::TraceDims d;
-    d.check_in_degree = cp.check_deg > 3 ? cp.check_deg - 2 : 1;
-    const long long e = d.e_in();
-    const long long deg = std::max(cp.deg_hi, cp.deg_lo);
-    d.edge_variable.assign(static_cast<std::size_t>(e), 0);
-    std::int32_t next = 1;
-    for (long long ed = std::min(deg, e); ed < e; ++ed)
-        d.edge_variable[static_cast<std::size_t>(ed)] = next++;
-    d.num_info_nodes = next;
-    return d;
+    // This code's worst-case fan-ins: its check in-degree and one
+    // information node of its highest degree.
+    return ir::fan_in_trace_dims(cp.check_deg > 3 ? cp.check_deg - 2 : 1,
+                                 std::max(cp.deg_hi, cp.deg_lo));
 }
 
 namespace {

@@ -85,36 +85,7 @@ Report lint_schedule(const ScheduleModel& m) {
                     "addresses are assigned contiguously per group (Fig. 3)");
     }
 
-    // Read-exactly-once: the check phase must consume every RAM word once.
-    // The write side follows: each updated word is written back to the
-    // address it was read from, so read coverage == write coverage.
-    std::vector<int> read_count(static_cast<std::size_t>(m.ram_words), 0);
-    for (const auto& s : m.slots)
-        if (s.addr >= 0 && s.addr < m.ram_words) ++read_count[static_cast<std::size_t>(s.addr)];
-    for (int a = 0; a < m.ram_words; ++a) {
-        if (read_count[static_cast<std::size_t>(a)] != 1)
-            rep.add("sched.read-once", Severity::Error, "addr " + std::to_string(a),
-                    "read " + std::to_string(read_count[static_cast<std::size_t>(a)]) +
-                        " times per check phase, must be exactly once",
-                    "slot addresses must form a permutation of the RAM");
-    }
-
-    // Zigzag sequentiality: slots must sweep local CNs 0,0,..,1,..,q-1 in
-    // uniform runs — FU f then processes CNs f*q..(f+1)*q-1 strictly in
-    // chain order, which is what legalizes the forward-recursion schedule
-    // of paper Fig. 2b.
     if (m.slots.size() == expected) {
-        for (std::size_t t = 0; t < m.slots.size(); ++t) {
-            const int want_run = static_cast<int>(t) / m.slots_per_cn;
-            if (m.slots[t].local_cn != want_run) {
-                rep.add("sched.zigzag-order", Severity::Error, slot_loc(t),
-                        "serves local CN " + std::to_string(m.slots[t].local_cn) +
-                            " inside the run of CN " + std::to_string(want_run),
-                        "schedule runs of check_deg-2 slots in ascending local CN order");
-                break;  // one finding per sweep; later slots are all shifted
-            }
-        }
-
         // Edge coverage inside each run: two slots with the same (group,
         // shift) deliver the same variable to every FU — one edge combined
         // twice, another starved.

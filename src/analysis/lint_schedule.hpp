@@ -1,8 +1,9 @@
 // Rule family `sched.*`: legality of the hardware slot schedule and node
-// mapping (paper Sec. 3, Fig. 3) — proves that one check phase of the ROM
-// schedule reads and writes every message exactly once, keeps the zigzag
-// chain strictly sequential per functional unit, and only uses realizable
-// shuffle-network offsets.
+// mapping (paper Sec. 3, Fig. 3) — proves that the ROM has one slot per
+// information edge group, that every slot's address matches the row layout,
+// that each run serves distinct edges, and that only realizable
+// shuffle-network offsets are used. Read-once and the strict zigzag run
+// order are schedule.dataflow.* rules (lint_dataflow.hpp).
 //
 // Rules:
 //   sched.slot-count       ROM has != q*(check_deg-2) slots
@@ -10,10 +11,6 @@
 //                          index outside [0, q)
 //   sched.addr-consistency slot address disagrees with row_base+entry or
 //                          leaves the RAM
-//   sched.read-once        a RAM address read never or more than once per
-//                          check phase
-//   sched.zigzag-order     slot runs do not sweep local CNs 0..q-1 in
-//                          strictly sequential order
 //   sched.edge-coverage    two slots of one run carry the same (group,
 //                          shift): some edge served twice, another never
 //
@@ -30,7 +27,7 @@
 namespace dvbs2::analysis {
 
 /// Plain-data view of a hardware mapping's schedule, sufficient for all
-/// sched.* and mem.* rules.
+/// sched.* and schedule.dataflow.* slot and port rules.
 struct ScheduleModel {
     int parallelism = 0;            ///< P functional units / lanes
     int q = 0;                      ///< local check nodes per FU

@@ -1,13 +1,36 @@
 #include "arch/conflict.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "util/error.hpp"
 
 namespace dvbs2::arch {
 
+std::string memory_config_error(const MemoryConfig& cfg) {
+    if (cfg.num_banks < 2)
+        return "num_banks = " + std::to_string(cfg.num_banks) +
+               ": need at least two single-port banks, so a write can go beside the read";
+    if (cfg.max_writes_per_cycle < 1)
+        return "max_writes_per_cycle = " + std::to_string(cfg.max_writes_per_cycle) +
+               ": need at least one write port, or the conflict buffer never drains";
+    if (cfg.pipeline_latency < 0)
+        return "pipeline_latency = " + std::to_string(cfg.pipeline_latency) +
+               ": a write-back cannot be ready before its last read";
+    return {};
+}
+
+namespace {
+
+void require_valid(const MemoryConfig& cfg) {
+    const std::string err = memory_config_error(cfg);
+    DVBS2_REQUIRE(err.empty(), err);
+}
+
+}  // namespace
+
 ConflictStats simulate_phase(const PhaseSchedule& sched, const MemoryConfig& cfg) {
-    DVBS2_REQUIRE(cfg.num_banks >= 2, "need at least two banks");
+    require_valid(cfg);
     DVBS2_REQUIRE(sched.ready_at.size() >= sched.read_addr.size(),
                   "ready_at must cover all read cycles");
 
@@ -57,9 +80,11 @@ ConflictStats simulate_phase(const PhaseSchedule& sched, const MemoryConfig& cfg
     return stats;
 }
 
-PhaseSchedule make_check_phase_schedule(const HardwareMapping& mapping, const MemoryConfig& cfg) {
-    const auto& slots = mapping.slots();
-    const int kc = mapping.slots_per_cn();
+PhaseSchedule make_check_phase_schedule(const std::vector<RomSlot>& slots, int slots_per_cn,
+                                        const MemoryConfig& cfg) {
+    require_valid(cfg);
+    DVBS2_REQUIRE(slots_per_cn >= 1, "slots_per_cn must be positive");
+    const auto kc = static_cast<std::size_t>(slots_per_cn);
     PhaseSchedule sched;
     sched.read_addr.reserve(slots.size());
     for (const auto& s : slots) sched.read_addr.push_back(s.addr);
@@ -68,44 +93,58 @@ PhaseSchedule make_check_phase_schedule(const HardwareMapping& mapping, const Me
     // clock cycle" (paper Sec. 3): the kc write-backs of local CN r emerge
     // one per cycle, starting pipeline_latency cycles after its last read
     // (slot (r+1)·kc − 1).
-    const int q = mapping.code().params().q;
-    const std::size_t horizon =
-        slots.size() + static_cast<std::size_t>(cfg.pipeline_latency + kc) + 1;
-    sched.ready_at.assign(horizon, {});
-    for (int r = 0; r < q; ++r) {
-        const std::size_t first_ready =
-            static_cast<std::size_t>((r + 1) * kc - 1 + cfg.pipeline_latency);
-        for (int t = 0; t < kc; ++t)
-            sched.ready_at[first_ready + static_cast<std::size_t>(t)].push_back(
-                slots[static_cast<std::size_t>(r * kc + t)].addr);
+    const auto latency = static_cast<std::size_t>(cfg.pipeline_latency);
+    sched.ready_at.assign(slots.size() + latency + kc + 1, {});
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+        const std::size_t run_end = (s / kc + 1) * kc - 1;
+        sched.ready_at[run_end + latency + s % kc].push_back(slots[s].addr);
+    }
+    return sched;
+}
+
+PhaseSchedule make_check_phase_schedule(const HardwareMapping& mapping, const MemoryConfig& cfg) {
+    return make_check_phase_schedule(mapping.slots(), mapping.slots_per_cn(), cfg);
+}
+
+PhaseSchedule make_variable_phase_schedule(int ram_words, const std::vector<int>& row_base,
+                                           const std::vector<int>& row_degree,
+                                           const MemoryConfig& cfg) {
+    require_valid(cfg);
+    DVBS2_REQUIRE(ram_words >= 0 && row_base.size() == row_degree.size(),
+                  "need a non-negative RAM size and one degree per row base");
+    PhaseSchedule sched;
+    sched.read_addr.reserve(static_cast<std::size_t>(ram_words));
+    for (int a = 0; a < ram_words; ++a) sched.read_addr.push_back(a);
+
+    int max_deg = 0;
+    for (int d : row_degree) max_deg = std::max(max_deg, d);
+    const auto latency = static_cast<std::size_t>(cfg.pipeline_latency);
+    sched.ready_at.assign(static_cast<std::size_t>(ram_words + max_deg) + latency + 1, {});
+    // Node group g's messages live at row_base[g] .. row_base[g]+deg−1 and
+    // are all read by cycle row_base[g]+deg−1; the updated messages emerge
+    // from the serial FU one per cycle and go back to the same addresses.
+    for (std::size_t g = 0; g < row_base.size(); ++g) {
+        const int base = row_base[g];
+        const int deg = row_degree[g];
+        DVBS2_REQUIRE(base >= 0 && deg >= 0 && base + deg <= ram_words,
+                      "row " + std::to_string(g) + " leaves the " + std::to_string(ram_words) +
+                          "-word RAM");
+        for (int l = 0; l < deg; ++l)
+            sched.ready_at[static_cast<std::size_t>(base + deg - 1 + l) + latency].push_back(
+                base + l);
     }
     return sched;
 }
 
 PhaseSchedule make_variable_phase_schedule(const HardwareMapping& mapping,
                                            const MemoryConfig& cfg) {
-    const auto& code = mapping.code();
-    const auto& cp = code.params();
-    PhaseSchedule sched;
-    const int words = mapping.ram_words();
-    sched.read_addr.reserve(static_cast<std::size_t>(words));
-    for (int a = 0; a < words; ++a) sched.read_addr.push_back(a);
-
-    const std::size_t horizon =
-        static_cast<std::size_t>(words + cfg.pipeline_latency + cp.deg_hi + 1);
-    sched.ready_at.assign(horizon, {});
-    // Node group g's messages live at row_base[g] .. row_base[g]+deg−1 and
-    // are all read by cycle row_base[g]+deg−1; the updated messages emerge
-    // from the serial FU one per cycle and go back to the same addresses.
+    const auto& cp = mapping.code().params();
+    std::vector<int> row_base, row_degree;
     for (int g = 0; g < cp.groups(); ++g) {
-        const int base = mapping.row_base(g);
-        const int deg = g < cp.groups_hi() ? cp.deg_hi : cp.deg_lo;
-        const std::size_t first_ready =
-            static_cast<std::size_t>(base + deg - 1 + cfg.pipeline_latency);
-        for (int l = 0; l < deg; ++l)
-            sched.ready_at[first_ready + static_cast<std::size_t>(l)].push_back(base + l);
+        row_base.push_back(mapping.row_base(g));
+        row_degree.push_back(g < cp.groups_hi() ? cp.deg_hi : cp.deg_lo);
     }
-    return sched;
+    return make_variable_phase_schedule(mapping.ram_words(), row_base, row_degree, cfg);
 }
 
 IterationStats simulate_iteration(const HardwareMapping& mapping, const MemoryConfig& cfg) {

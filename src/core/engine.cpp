@@ -51,28 +51,13 @@ const EnvelopeDegrees& envelope_degrees() {
     return deg;
 }
 
-/// Family-envelope trace dimensions for range certification: the scaled
-/// model dims every IR analysis runs at (P=4, q=3), carrying the WORST-CASE
-/// degrees over all shipped long-frame rates — the largest check in-degree
-/// and an information node of the largest deg_hi — so one certificate per
-/// (schedule, datapath numbers) covers every standard code. The abstract
-/// bounds grow only with per-firing fan-in (vn sums), never with m or N, so
-/// the envelope dominates the full-size codes.
+/// Family-envelope trace dimensions for range certification: the
+/// WORST-CASE fan-ins over all shipped long-frame rates — the largest check
+/// in-degree and an information node of the largest deg_hi — so one
+/// certificate per (schedule, datapath numbers) covers every standard code.
 const analysis::ir::TraceDims& range_envelope_dims() {
-    static const analysis::ir::TraceDims dims = [] {
-        const EnvelopeDegrees& deg = envelope_degrees();
-        analysis::ir::TraceDims d;
-        d.check_in_degree = deg.check_in;
-        const long long e = d.e_in();
-        // variable 0 takes deg_hi edges; every other edge is its own
-        // degree-1 node (degree only sharpens the vn-accumulate peak)
-        d.edge_variable.assign(static_cast<std::size_t>(e), 0);
-        std::int32_t next = 1;
-        for (long long ed = std::min<long long>(deg.info, e); ed < e; ++ed)
-            d.edge_variable[static_cast<std::size_t>(ed)] = next++;
-        d.num_info_nodes = next;
-        return d;
-    }();
+    static const analysis::ir::TraceDims dims =
+        analysis::ir::fan_in_trace_dims(envelope_degrees().check_in, envelope_degrees().info);
     return dims;
 }
 
@@ -148,29 +133,22 @@ void validate_engine_spec(const EngineSpec& spec) {
     } else {
         quant::validate_spec(spec.quant);
     }
-    if (c.backend == DecoderBackend::Simd) {
+    if (c.backend == DecoderBackend::Simd && c.lane_mode == SimdLaneMode::GroupParallel) {
         // Legality is derived, not hardcoded: the dataflow IR classifies each
         // schedule by tracing its def/use dependences (analysis/ir). The
         // group-parallel mapping needs every same-phase dependence to stay
         // inside one lane and respect the lockstep step order, which holds
-        // for two-phase and zigzag-segmented only. lane_mode=auto needs the
-        // frame-per-lane mapping for batches; its single frames run
-        // group-parallel where that is legal and on the scalar reference
-        // otherwise.
+        // for two-phase and zigzag-segmented only. Frame-per-lane runs every
+        // schedule (all decoder state is per frame); lane_mode=auto batches
+        // frame-per-lane and runs single frames group-parallel where that is
+        // legal and on the scalar reference otherwise.
         const auto& cls = analysis::ir::classify_schedule(c.schedule);
-        if (c.lane_mode == SimdLaneMode::GroupParallel) {
-            DVBS2_REQUIRE(cls.group_parallel_legal,
-                          "backend=simd with lane_mode=group-parallel cannot run schedule=" +
-                              std::string(to_string(c.schedule)) + ": " +
-                              cls.group_parallel_obstruction +
-                              "; use lane_mode=auto or frame-per-lane to run this schedule "
-                              "on the SIMD backend");
-        } else {
-            DVBS2_REQUIRE(cls.frame_per_lane_legal,
-                          "backend=simd with lane_mode=" + std::string(to_string(c.lane_mode)) +
-                              " cannot run schedule=" + to_string(c.schedule) +
-                              ": the schedule shares state across frames");
-        }
+        DVBS2_REQUIRE(cls.group_parallel_legal,
+                      "backend=simd with lane_mode=group-parallel cannot run schedule=" +
+                          std::string(to_string(c.schedule)) + ": " +
+                          cls.group_parallel_obstruction +
+                          "; use lane_mode=auto or frame-per-lane to run this schedule "
+                          "on the SIMD backend");
     }
     if (spec.arith == Arithmetic::Fixed) {
         // Per-event range certification over the dataflow IR (absint.hpp):

@@ -226,6 +226,42 @@ TEST(Conflict, VariablePhaseScheduleShape) {
     EXPECT_EQ(static_cast<int>(writes), map.ram_words());
 }
 
+TEST(Conflict, ShortSlotListIsModelledAsItStands) {
+    // One full run plus the first slot of the next: only those four words
+    // are read and written back, the lone slot after its run's missing end.
+    const da::HardwareMapping map(toy_code());
+    const int kc = map.slots_per_cn();
+    const std::vector<da::RomSlot> head(map.slots().begin(), map.slots().begin() + kc + 1);
+    const da::MemoryConfig mem{};
+    const auto sched = da::make_check_phase_schedule(head, kc, mem);
+    EXPECT_EQ(sched.read_addr.size(), head.size());
+    std::size_t writes = 0;
+    for (const auto& w : sched.ready_at) writes += w.size();
+    EXPECT_EQ(writes, head.size());
+    const auto lone = static_cast<std::size_t>(2 * kc - 1 + mem.pipeline_latency);
+    EXPECT_EQ(sched.ready_at.at(lone), std::vector<int>{head.back().addr});
+}
+
+TEST(Conflict, DegenerateMemoryConfigIsRejectedNamingTheField) {
+    // With no write port the buffer never drains, and a negative latency
+    // would make a write-back ready before its read.
+    const da::HardwareMapping map(toy_code());
+    const struct {
+        da::MemoryConfig memory;
+        const char* field;
+    } cases[] = {{{1, 2, 4}, "num_banks"},
+                 {{4, 0, 4}, "max_writes_per_cycle"},
+                 {{4, 2, -3}, "pipeline_latency"}};
+    for (const auto& c : cases) {
+        try {
+            (void)da::simulate_iteration(map, c.memory);
+            ADD_FAILURE() << c.field << " accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos) << e.what();
+        }
+    }
+}
+
 TEST(Conflict, IterationCompletesWithBoundedBuffer) {
     const da::HardwareMapping map(toy_code());
     const auto st = da::simulate_iteration(map, da::MemoryConfig{});

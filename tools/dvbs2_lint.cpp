@@ -2,10 +2,11 @@
 // decoder configurations, and the hardware architecture model.
 //
 // Runs the four rule families of src/analysis/ (code structure, schedule
-// legality, RAM conflict proof, fixed-point range analysis) over generated
-// standard tables or an external table file and reports machine-readable
-// diagnostics. Exit status: 0 clean, 1 at least one error finding, 2 usage
-// or I/O failure. See docs/lint.md for the rule catalogue.
+// legality, schedule dataflow with the RAM-port drain, fixed-point range
+// analysis) over generated standard tables or an external table file and
+// reports machine-readable diagnostics. Exit status: 0 clean, 1 at least
+// one error finding, 2 usage or I/O failure. See docs/lint.md for the rule
+// catalogue.
 //
 //   dvbs2_lint --rate=all --frame=both            # lint every shipped code
 //   dvbs2_lint --rate=1/2 --format=json           # machine-readable output
