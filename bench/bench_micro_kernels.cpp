@@ -67,11 +67,11 @@ BENCHMARK(BM_BoxplusTableFixed);
 static void BM_CnExtrinsicsFloat(benchmark::State& state) {
     const int d = static_cast<int>(state.range(0));
     core::FloatArith arith(core::CheckRule::Exact, 0.75, 0.5);
-    std::vector<double> ins(static_cast<std::size_t>(d)), outs(ins), pre(ins), suf(ins);
+    std::vector<double> ins(static_cast<std::size_t>(d)), outs(ins), pre(ins);
     util::Xoshiro256pp rng(2);
     for (auto& v : ins) v = 4.0 * rng.gaussian();
     for (auto _ : state) {
-        core::compute_extrinsics(arith, ins.data(), d, outs.data(), pre.data(), suf.data());
+        core::compute_extrinsics(arith, ins.data(), d, outs.data(), pre.data());
         benchmark::DoNotOptimize(outs.data());
     }
     state.SetItemsProcessed(state.iterations() * d);
@@ -83,11 +83,11 @@ static void BM_CnExtrinsicsFixed(benchmark::State& state) {
     const int d = static_cast<int>(state.range(0));
     const quant::BoxplusTable table(quant::kQuant6);
     core::FixedArith arith(core::CheckRule::Exact, quant::kQuant6, &table, 0.75, 0.5);
-    std::vector<quant::QLLR> ins(static_cast<std::size_t>(d)), outs(ins), pre(ins), suf(ins);
+    std::vector<quant::QLLR> ins(static_cast<std::size_t>(d)), outs(ins), pre(ins);
     util::Xoshiro256pp rng(3);
     for (auto& v : ins) v = static_cast<quant::QLLR>(rng.below(63)) - 31;
     for (auto _ : state) {
-        core::compute_extrinsics(arith, ins.data(), d, outs.data(), pre.data(), suf.data());
+        core::compute_extrinsics(arith, ins.data(), d, outs.data(), pre.data());
         benchmark::DoNotOptimize(outs.data());
     }
     state.SetItemsProcessed(state.iterations() * d);

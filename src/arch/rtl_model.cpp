@@ -106,7 +106,6 @@ struct RtlDecoder::Impl {
         QLLR ins[core::kMaxCheckDegree];
         QLLR outs[core::kMaxCheckDegree];
         QLLR pre[core::kMaxCheckDegree];
-        QLLR suf[core::kMaxCheckDegree];
 
         for (int r = 0; r < q; ++r) {
             // kc read cycles: shuffle-aligned words accumulate in the FUs.
@@ -140,7 +139,7 @@ struct RtlDecoder::Impl {
                                ? quant::saturate(ch_p[static_cast<std::size_t>(c)] + up_in,
                                                  cfg.spec)
                                : quant::saturate(ch_p[static_cast<std::size_t>(c)], cfg.spec);
-                core::compute_extrinsics(arith, ins, d, outs, pre, suf);
+                core::compute_extrinsics(arith, ins, d, outs, pre);
                 for (int t = 0; t < kc; ++t)
                     fu_inputs[static_cast<std::size_t>(f)][static_cast<std::size_t>(t)] =
                         arith.finalize(outs[t]);

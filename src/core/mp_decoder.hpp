@@ -294,8 +294,7 @@ private:
     void extrinsics(const Value* ins, int d, Value* outs) const {
         DVBS2_ASSERT(d >= 2 && d <= kMaxCheckDegree);
         Value pre[kMaxCheckDegree];
-        Value suf[kMaxCheckDegree];
-        compute_extrinsics(arith_, ins, d, outs, pre, suf);
+        compute_extrinsics(arith_, ins, d, outs, pre);
     }
 
     /// Gathers CN c's information-edge inputs (respecting cn_order_) into
@@ -543,40 +542,30 @@ private:
         }
     }
 
+    /// Bit v of the codeword is set iff variable v's posterior is negative
+    /// (its channel value when no iteration ran), 64 bits per word store.
     void harden(util::BitVec& codeword) const {
         const auto& cp = code_->params();
-        if (codeword.size() != static_cast<std::size_t>(cp.n))
-            codeword = util::BitVec(static_cast<std::size_t>(cp.n));
-        else
-            codeword.clear();
+        const auto n = static_cast<std::size_t>(cp.n);
+        const auto k = static_cast<std::size_t>(cp.k);
+        if (codeword.size() != n) codeword = util::BitVec(n);
         if (cfg_.max_iterations == 0) {
-            // No iterations ran: decide straight from the channel.
-            for (int v = 0; v < cp.k; ++v)
-                if (arith_.is_negative(arith_.to_wide(ch_in_[static_cast<std::size_t>(v)])))
-                    codeword.set(static_cast<std::size_t>(v), true);
-            for (int j = 0; j < cp.m(); ++j)
-                if (arith_.is_negative(arith_.to_wide(ch_p_[static_cast<std::size_t>(j)])))
-                    codeword.set(static_cast<std::size_t>(cp.k + j), true);
+            codeword.assign([&](std::size_t i) {
+                return arith_.is_negative(arith_.to_wide(i < k ? ch_in_[i] : ch_p_[i - k]));
+            });
             return;
         }
-        for (int v = 0; v < cp.k; ++v)
-            if (arith_.is_negative(post_in_[static_cast<std::size_t>(v)]))
-                codeword.set(static_cast<std::size_t>(v), true);
-        for (int j = 0; j < cp.m(); ++j)
-            if (arith_.is_negative(post_p_[static_cast<std::size_t>(j)]))
-                codeword.set(static_cast<std::size_t>(cp.k + j), true);
+        codeword.assign([&](std::size_t i) {
+            return arith_.is_negative(i < k ? post_in_[i] : post_p_[i - k]);
+        });
     }
 
     /// Copies the K information bits out of the hardened codeword, reusing
     /// `out.info_bits` storage when already correctly sized.
     void copy_info_bits(DecodeResult& out) const {
         const auto k = static_cast<std::size_t>(code_->params().k);
-        if (out.info_bits.size() != k)
-            out.info_bits = util::BitVec(k);
-        else
-            out.info_bits.clear();
-        for (std::size_t v = 0; v < k; ++v)
-            if (out.codeword.get(v)) out.info_bits.set(v, true);
+        if (out.info_bits.size() != k) out.info_bits = util::BitVec(k);
+        out.info_bits.assign_prefix(out.codeword);
     }
 
     const code::Dvbs2Code* code_;

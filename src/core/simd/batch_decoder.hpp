@@ -12,6 +12,10 @@
 // (pinned by tests/test_engine.cpp and tests/test_convergence.cpp),
 // including per-frame early stopping: each lane hardens and syndrome-checks
 // at its own pace and records its result at its own stopping iteration.
+// Both read a sign plane (one word of W posterior signs per variable node)
+// that the decoder packs once per step in which a lane is due, so the
+// syndrome costs one 4-byte load per edge and a retiring lane's codeword is
+// cut out 64 bits at a time.
 // decode_stream adds lane compaction on top: a retired lane's state is
 // reset in place and the next pending frame is spliced into it, so a long
 // stream of frames keeps every lane busy no matter how unevenly the frames
@@ -30,7 +34,8 @@
 // posterior reads and updates by variable index. One c2v word per
 // frame-edge is kept — 2 bytes on 16-bit lanes — because the variable
 // phase is fused into the check phase (core/mp_decoder.hpp): each v2c
-// message is formed from the posterior as the check node reads it.
+// message is formed from the posterior as the check node reads it. The
+// sign plane adds 4 bytes per variable node (259 KB at N = 64800).
 //
 // This header is intrinsic-free; batch_decoder.cpp is the only other TU
 // built with SIMD compiler flags (see src/core/CMakeLists.txt).

@@ -310,12 +310,11 @@ struct SimdFixedDecoder::Impl {
             Reg ins[kMaxCheckDegree];
             Reg outs[kMaxCheckDegree];
             Reg pre[kMaxCheckDegree];
-            Reg suf[kMaxCheckDegree];
             for (int t = 0; t < kc; ++t)
                 ins[t] = V::gather(v2c_.data(), V::add(V::broadcast(j0 * kc + t), stride_kc));
             ins[kc] = V::load(pn_c_.data() + j0 - 1);      // left zigzag input
             ins[kc + 1] = V::load(pn_a_.data() + j0);      // right zigzag input
-            compute_extrinsics(lanes_, ins, kc + 2, outs, pre, suf);
+            compute_extrinsics(lanes_, ins, kc + 2, outs, pre);
             scatter_block(outs, kc, static_cast<long long>(j0) * kc, kc);
             V::store(down_.data() + j0, lanes_.finalize(outs[kc + 1]));
             V::store(up_.data() + j0 - 1, lanes_.finalize(outs[kc]));
@@ -355,7 +354,6 @@ struct SimdFixedDecoder::Impl {
                 Reg ins[kMaxCheckDegree];
                 Reg outs[kMaxCheckDegree];
                 Reg pre[kMaxCheckDegree];
-                Reg suf[kMaxCheckDegree];
                 for (int t = 0; t < kc; ++t)
                     ins[t] =
                         V::gather(v2c_.data(), V::add(V::broadcast(jb * kc + t), stride_qkc));
@@ -370,7 +368,7 @@ struct SimdFixedDecoder::Impl {
                     r == q - 1 ? up_boundary
                                : V::gather(up_.data(), V::add(V::broadcast(jb), stride_q));
                 ins[kc + 1] = lanes_.narrow(V::add(chp, up));
-                compute_extrinsics(lanes_, ins, kc + 2, outs, pre, suf);
+                compute_extrinsics(lanes_, ins, kc + 2, outs, pre);
                 scatter_block(outs, kc, static_cast<long long>(jb) * kc,
                               static_cast<long long>(q) * kc);
                 QLLR dtmp[W];
@@ -394,7 +392,6 @@ struct SimdFixedDecoder::Impl {
         QLLR ins[kMaxCheckDegree];
         QLLR outs[kMaxCheckDegree];
         QLLR pre[kMaxCheckDegree];
-        QLLR suf[kMaxCheckDegree];
         const long long base = static_cast<long long>(j) * kc;
         int d = 0;
         for (int t = 0; t < kc; ++t) ins[d++] = v2c_[static_cast<std::size_t>(base + t)];
@@ -402,7 +399,7 @@ struct SimdFixedDecoder::Impl {
         if (j > 0) ins[d++] = pn_c_[static_cast<std::size_t>(j - 1)];
         const int right_pos = d;
         ins[d++] = pn_a_[static_cast<std::size_t>(j)];
-        compute_extrinsics(arith_, ins, d, outs, pre, suf);
+        compute_extrinsics(arith_, ins, d, outs, pre);
         scatter_scalar(base, outs, kc);
         down_[static_cast<std::size_t>(j)] = arith_.finalize(outs[right_pos]);
         if (j > 0) up_[static_cast<std::size_t>(j - 1)] = arith_.finalize(outs[left_pos]);
@@ -416,7 +413,6 @@ struct SimdFixedDecoder::Impl {
         QLLR ins[kMaxCheckDegree];
         QLLR outs[kMaxCheckDegree];
         QLLR pre[kMaxCheckDegree];
-        QLLR suf[kMaxCheckDegree];
         const long long base = static_cast<long long>(j) * kc;
         int d = 0;
         for (int t = 0; t < kc; ++t) ins[d++] = v2c_[static_cast<std::size_t>(base + t)];
@@ -432,7 +428,7 @@ struct SimdFixedDecoder::Impl {
         const QLLR chp = ch_p_[static_cast<std::size_t>(j)];
         ins[d++] = j < m - 1 ? arith_.narrow(chp + up_[static_cast<std::size_t>(j)])
                              : arith_.narrow(chp);
-        compute_extrinsics(arith_, ins, d, outs, pre, suf);
+        compute_extrinsics(arith_, ins, d, outs, pre);
         scatter_scalar(base, outs, kc);
         down_[static_cast<std::size_t>(j)] = arith_.finalize(outs[right_pos]);
         if (j > 0) up_[static_cast<std::size_t>(j - 1)] = arith_.finalize(outs[left_pos]);

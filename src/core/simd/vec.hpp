@@ -3,17 +3,20 @@
 // Each backend exposes the same static interface over a register of
 // `width` lanes of `lane_t` (`bits` wide): loads/stores, saturating-add
 // building blocks (add/sub/min/max/abs), sign manipulation
-// (xor/and/or/srai/cmpgt), a multiply for the normalized-min-sum scale, and
-// — on 32-bit lanes only — a gather for the boxplus correction LUT. Every
-// backend comes in two lane widths: int32 (the raw quantized-LLR type,
-// ActiveVec) and int16 (ActiveVec16, twice the lanes per register; the
-// frame-per-lane decoder runs it when the range certificate proves every
-// value fits). Add/sub/mullo wrap modulo the lane width like the
-// intrinsics, so a chain of them is exact whenever its result fits.
+// (xor/and/or/srai/cmpgt), a multiply for the normalized-min-sum scale, a
+// lane sign mask (sign_bits: bit l = lane l's sign, the frame-per-lane
+// decoder's sign plane), and — on 32-bit lanes only — a gather for the
+// boxplus correction LUT. Every backend comes in two lane widths: int32
+// (the raw quantized-LLR type, ActiveVec) and int16 (ActiveVec16, twice
+// the lanes per register; the frame-per-lane decoder runs it when the
+// range certificate proves every value fits). Add/sub/mullo wrap modulo
+// the lane width like the intrinsics, so a chain of them is exact
+// whenever its result fits.
 // The backend is chosen at configure time (CMake option DVBS2_SIMD → one
 // DVBS2_SIMD_* macro); only the two SIMD engine TUs (simd_decoder.cpp,
-// batch_decoder.cpp) include this header, so the rest of the tree builds
-// without target-specific compiler flags.
+// batch_decoder.cpp) and the staging quantizer (quantize.cpp) include this
+// header, so the rest of the tree builds without target-specific compiler
+// flags.
 //
 // Every operation is integer-exact, so any backend produces bit-identical
 // messages; the scalar fallback doubles as the reference for platforms
@@ -112,6 +115,12 @@ struct VecScalar {
         for (int i = 0; i < W; ++i) r.lane[i] = base[idx.lane[i]];
         return r;
     }
+    /// Bit l set iff lane l is negative.
+    static std::uint32_t sign_bits(reg a) {
+        std::uint32_t m = 0;
+        for (int i = 0; i < W; ++i) m |= static_cast<std::uint32_t>(a.lane[i] < 0) << i;
+        return m;
+    }
 };
 
 #if defined(DVBS2_SIMD_AVX2)
@@ -146,6 +155,9 @@ struct VecAvx2 {
     static reg gather(const std::int32_t* base, reg idx) {
         return _mm256_i32gather_epi32(base, idx, 4);
     }
+    static std::uint32_t sign_bits(reg a) {
+        return static_cast<std::uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(a)));
+    }
 };
 
 /// 16 lanes of int16. AVX2 has no 16-bit gather; LaneFixedArith computes
@@ -177,6 +189,12 @@ struct VecAvx2I16 {
         return _mm256_srai_epi16(a, K);
     }
     static reg cmpgt(reg a, reg b) { return _mm256_cmpgt_epi16(a, b); }
+    /// The saturating pack keeps each lane's sign in one byte, in lane order.
+    static std::uint32_t sign_bits(reg a) {
+        const __m128i packed =
+            _mm_packs_epi16(_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1));
+        return static_cast<std::uint32_t>(_mm_movemask_epi8(packed));
+    }
 };
 
 using ActiveVec = VecAvx2;
@@ -218,6 +236,9 @@ struct VecSse41 {
         _mm_store_si128(reinterpret_cast<__m128i*>(i), idx);
         return _mm_setr_epi32(base[i[0]], base[i[1]], base[i[2]], base[i[3]]);
     }
+    static std::uint32_t sign_bits(reg a) {
+        return static_cast<std::uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(a)));
+    }
 };
 
 /// 8 lanes of int16 (SSE2/SSSE3 instructions, all within SSE4.1).
@@ -248,6 +269,9 @@ struct VecSse41I16 {
         return _mm_srai_epi16(a, K);
     }
     static reg cmpgt(reg a, reg b) { return _mm_cmpgt_epi16(a, b); }
+    static std::uint32_t sign_bits(reg a) {
+        return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_packs_epi16(a, a))) & 0xFFu;
+    }
 };
 
 using ActiveVec = VecSse41;
@@ -288,6 +312,12 @@ struct VecNeon {
         const std::int32_t v[4] = {base[i[0]], base[i[1]], base[i[2]], base[i[3]]};
         return vld1q_s32(v);
     }
+    /// Shift each sign down to bit 0, then to bit l, and add across lanes.
+    static std::uint32_t sign_bits(reg a) {
+        static constexpr std::int32_t kPos[4] = {0, 1, 2, 3};
+        const uint32x4_t sign = vshrq_n_u32(vreinterpretq_u32_s32(a), 31);
+        return vaddvq_u32(vshlq_u32(sign, vld1q_s32(kPos)));
+    }
 };
 
 /// 8 lanes of int16.
@@ -315,6 +345,11 @@ struct VecNeonI16 {
     }
     static reg cmpgt(reg a, reg b) {
         return vreinterpretq_s16_u16(vcgtq_s16(a, b));
+    }
+    static std::uint32_t sign_bits(reg a) {
+        static constexpr std::int16_t kPos[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+        const uint16x8_t sign = vshrq_n_u16(vreinterpretq_u16_s16(a), 15);
+        return vaddvq_u16(vshlq_u16(sign, vld1q_s16(kPos)));
     }
 };
 

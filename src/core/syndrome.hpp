@@ -5,10 +5,10 @@
 // the early-stop path and the no-early-stop post-loop fallback) and the
 // SIMD group-parallel decoder route through check_syndrome(), so the
 // convergence decision cannot drift between backends. The frame-per-lane
-// batch decoder evaluates the same predicate lane-parallel from the
-// posterior sign bits (unsatisfied_lanes in batch_decoder.cpp); its
-// agreement with this routine is pinned by the bit-identical
-// iteration-count invariant of tests/test_convergence.cpp.
+// batch decoder evaluates the same predicate lane-parallel from a sign
+// plane of the posteriors (unsatisfied_lanes in batch_decoder.cpp); its
+// agreement with this routine is pinned per lane, and by the bit-identical
+// iteration-count invariant, in tests/test_convergence.cpp.
 //
 // Two cost/precision flavors, selected by `count_unsatisfied`:
 //   * false (the decode hot path): the allocation-free early-exit walk of

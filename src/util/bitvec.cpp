@@ -1,5 +1,6 @@
 #include "util/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace dvbs2::util {
@@ -14,6 +15,14 @@ bool BitVec::none() const noexcept {
     for (auto w : words_)
         if (w != 0) return false;
     return true;
+}
+
+void BitVec::assign_prefix(const BitVec& src) {
+    DVBS2_REQUIRE(src.size_ >= size_, "BitVec prefix source shorter than the destination");
+    if (words_.empty()) return;
+    std::copy_n(src.words_.begin(), words_.size(), words_.begin());
+    if (const std::size_t tail = size_ & 63; tail != 0)
+        words_.back() &= (std::uint64_t{1} << tail) - 1;
 }
 
 BitVec& BitVec::operator^=(const BitVec& other) {

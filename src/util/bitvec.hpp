@@ -48,6 +48,25 @@ public:
         for (auto& w : words_) w = 0;
     }
 
+    /// Sets every bit i < size() to bit(i), packing 64 bits into each word
+    /// store with no branch per bit. Bits past size() stay zero, which
+    /// operator== relies on: it compares whole words.
+    template <class BitFn>
+    void assign(BitFn bit) {
+        for (std::size_t w = 0; w < words_.size(); ++w) {
+            const std::size_t base = w << 6;
+            const std::size_t len = size_ - base < 64 ? size_ - base : 64;
+            std::uint64_t word = 0;
+            for (std::size_t b = 0; b < len; ++b)
+                word |= static_cast<std::uint64_t>(bit(base + b) ? 1u : 0u) << b;
+            words_[w] = word;
+        }
+    }
+
+    /// Overwrites this vector with the first size() bits of `src` (which
+    /// must be at least as long), a word at a time.
+    void assign_prefix(const BitVec& src);
+
     /// Number of set bits.
     std::size_t count() const noexcept;
 

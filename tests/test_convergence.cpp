@@ -28,6 +28,7 @@
 #include "comm/parallel.hpp"
 #include "core/engine.hpp"
 #include "core/simd/batch_decoder.hpp"
+#include "core/syndrome.hpp"
 #include "core/simd/simd_decoder.hpp"
 #include "enc/encoder.hpp"
 #include "quant/fixed.hpp"
@@ -493,6 +494,67 @@ TEST(LaneCompaction, SingleFrameStreamMatchesScalar) {
         dd::DecodeResult got;
         eng->decode_into(llr, got);
         expect_same_result(ref[0], got, name_of(schedule) + " single frame");
+    }
+}
+
+TEST(LaneCompaction, SignPlaneVerdictsAndCodewordsMatchScalarOnBothLaneWidths) {
+    // Every lane's syndrome verdict and hardened codeword are read from the
+    // sign plane. For each budget 1..10, without early stopping (the verdict
+    // is taken at the budget) and with it (each lane stops on its own
+    // verdict), every frame must equal the scalar decode, and its converged
+    // flag check_syndrome of its codeword. The block holds exact codewords,
+    // hopeless frames and easy and hard noisy ones, one frame fewer than
+    // the lanes (3 on 4 lanes), so an idle lane computes beside them.
+    // kQuant6 runs 16-bit lanes; {8, 4}'s 11-step staircase runs 32-bit
+    // lanes.
+    const auto& code = toy_code();
+    const auto n = static_cast<std::size_t>(code.n());
+    for (const dq::QuantSpec& spec : {dq::kQuant6, dq::QuantSpec{8, 4}}) {
+        dd::DecoderConfig cfg;
+        cfg.schedule = dd::Schedule::ZigzagForward;
+        cfg.rule = dd::CheckRule::Exact;
+        const int lane_bits = spec == dq::kQuant6 ? 16 : 32;
+        ASSERT_EQ(dd::SimdBatchFixedDecoder(code, cfg, spec).lane_bits(), lane_bits);
+        const auto frames =
+            static_cast<std::size_t>(dd::SimdBatchFixedDecoder(code, cfg, spec).lanes()) - 1;
+        std::vector<dq::QLLR> block;
+        for (std::size_t f = 0; f < frames; ++f) {
+            const std::vector<double> llr = f % 4 == 0   ? exact_codeword_llrs(code, 300 + f)
+                                            : f % 4 == 1 ? hopeless_llrs(code, 300 + f)
+                                                         : noisy_llrs(code, f % 4 == 2 ? 5.0 : 1.5,
+                                                                      300 + f);
+            for (const double x : llr) block.push_back(dq::quantize(x, spec));
+        }
+        int converged = 0;
+        int unconverged = 0;
+        for (const bool early_stop : {false, true}) {
+            for (int budget = 1; budget <= 10; ++budget) {
+                cfg.max_iterations = budget;
+                cfg.early_stop = early_stop;
+                dd::SimdBatchFixedDecoder batch(code, cfg, spec);
+                std::vector<dd::DecodeResult> got(frames);
+                batch.decode_into(block, frames, got.data());
+                dd::EngineSpec sc;
+                sc.config = cfg;
+                sc.quant = spec;
+                const auto scalar = dd::make_engine(code, sc);
+                for (std::size_t f = 0; f < frames; ++f) {
+                    const std::string ctx = "int" + std::to_string(lane_bits) +
+                                            (early_stop ? " early-stop" : " fixed-budget") +
+                                            " budget " + std::to_string(budget) + " frame " +
+                                            std::to_string(f);
+                    dd::DecodeResult want;
+                    scalar->decode_raw_into(std::span<const dq::QLLR>(block).subspan(f * n, n),
+                                            want);
+                    expect_same_result(want, got[f], ctx);
+                    EXPECT_EQ(got[f].converged, dd::check_syndrome(code, got[f].codeword).satisfied)
+                        << ctx;
+                    ++(got[f].converged ? converged : unconverged);
+                }
+            }
+        }
+        EXPECT_GT(converged, 0) << lane_bits;
+        EXPECT_GT(unconverged, 0) << lane_bits;
     }
 }
 

@@ -107,6 +107,33 @@ TEST(BitVec, ClearResetsAllBits) {
     EXPECT_EQ(a.size(), 100u);
 }
 
+TEST(BitVec, WordAssignMatchesBitwiseSetAndKeepsTailZero) {
+    // assign and assign_prefix write whole words; bits past size() must
+    // stay zero, or operator== (which compares words) would tell apart two
+    // vectors holding the same bits.
+    for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, std::size_t{130}}) {
+        du::BitVec want(n);
+        for (std::size_t i = 0; i < n; ++i) want.set(i, i % 3 == 0 || i % 7 == 2);
+        du::BitVec got(n);
+        got.set(n - 1, true);  // stale contents are overwritten
+        got.assign([](std::size_t i) { return i % 3 == 0 || i % 7 == 2; });
+        EXPECT_EQ(got, want) << n;
+
+        du::BitVec wide(n + 70);
+        for (std::size_t i = 0; i < n + 70; ++i) wide.set(i, true);
+        du::BitVec prefix(n);
+        prefix.assign_prefix(wide);
+        du::BitVec ones(n);
+        for (std::size_t i = 0; i < n; ++i) ones.set(i, true);
+        EXPECT_EQ(prefix, ones) << n;
+        EXPECT_EQ(prefix.count(), n) << n;
+    }
+    du::BitVec shorter(10);
+    du::BitVec longer(11);
+    EXPECT_THROW(longer.assign_prefix(shorter), std::runtime_error);
+}
+
 TEST(RunningStats, MeanVarianceMinMax) {
     du::RunningStats s;
     for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
