@@ -21,18 +21,24 @@
 // iteration count and converged flag must match bit for bit; any divergence
 // makes the bench exit nonzero).
 //
+// Every timed cell, and each early-termination stream, is the best of 5
+// passes over the same frames: the first pass also warms the caches and
+// sizes the result storage, and the fastest pass records decoder speed
+// rather than host noise.
+//
 // Flags:
 //   --rate=1/2        code rate under test (default 1/2)
 //   --iters=10        message-passing iterations per frame
-//   --frames=W        timed frames per engine (after 1 warmup run); default
-//                     one full frame-per-lane block, the batch decoder's
-//                     lanes()
+//   --frames=W        timed frames per engine and pass; default one full
+//                     frame-per-lane block, the batch decoder's lanes()
 //   --snr=2.0         Eb/N0 (dB) of the early-termination section
 //   --es-frames=32    noisy frames of the early-termination section
 //   --json=PATH       write machine-readable results (BENCH_decoder.json)
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -85,16 +91,35 @@ struct Row {
     bool bit_exact = false;
 };
 
+/// Passes per timed cell and per early-termination stream.
+constexpr int kTimedPasses = 5;
+
+/// Wall time of the fastest of kTimedPasses calls of `pass`, in seconds.
+template <class Pass>
+double best_pass_seconds(Pass&& pass) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < kTimedPasses; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        pass();
+        best = std::min(best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                                  .count());
+    }
+    return best;
+}
+
+/// Coded Mbit/s of `frames` frames of `n_bits` decoded in `s` seconds.
+double mbps(int n_bits, std::size_t frames, double s) {
+    return s > 0.0 ? static_cast<double>(n_bits) * static_cast<double>(frames) / s / 1e6 : 0.0;
+}
+
 /// Times `frames` runs of `iters` full iterations; returns coded Mbit/s.
 template <class Engine>
 double time_engine(Engine& eng, const std::vector<std::vector<quant::QLLR>>& channels,
                    int iters, int n_bits) {
-    eng.run_iterations(channels[0], iters);  // warmup: touch all state once
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const auto& ch : channels) eng.run_iterations(ch, iters);
-    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return s > 0.0 ? static_cast<double>(n_bits) * static_cast<double>(channels.size()) / s / 1e6
-                   : 0.0;
+    const double s = best_pass_seconds([&] {
+        for (const auto& ch : channels) eng.run_iterations(ch, iters);
+    });
+    return mbps(n_bits, channels.size(), s);
 }
 
 /// Times the frame-per-lane engine over ceil(frames / lanes) batch blocks of
@@ -104,16 +129,14 @@ double time_engine(Engine& eng, const std::vector<std::vector<quant::QLLR>>& cha
 double time_batch_engine(core::SimdBatchFixedDecoder& eng, const std::vector<quant::QLLR>& flat,
                          std::size_t frames, std::size_t n, int iters, int n_bits) {
     const auto lanes = static_cast<std::size_t>(eng.lanes());
-    const std::size_t first = std::min(lanes, frames);
-    eng.run_iterations(std::span<const quant::QLLR>(flat.data(), first * n), first, iters);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t f0 = 0; f0 < frames; f0 += lanes) {
-        const std::size_t cnt = std::min(lanes, frames - f0);
-        eng.run_iterations(std::span<const quant::QLLR>(flat.data() + f0 * n, cnt * n), cnt,
-                           iters);
-    }
-    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return s > 0.0 ? static_cast<double>(n_bits) * static_cast<double>(frames) / s / 1e6 : 0.0;
+    const double s = best_pass_seconds([&] {
+        for (std::size_t f0 = 0; f0 < frames; f0 += lanes) {
+            const std::size_t cnt = std::min(lanes, frames - f0);
+            eng.run_iterations(std::span<const quant::QLLR>(flat.data() + f0 * n, cnt * n), cnt,
+                               iters);
+        }
+    });
+    return mbps(n_bits, frames, s);
 }
 
 /// Encoded random codewords through an AWGN channel at `ebn0_db`, quantized
@@ -152,23 +175,24 @@ struct EsRow {
     core::ConvergenceStats stats;
 };
 
-/// One decode_stream pass over `channels` (frame-major vectors); returns
-/// elapsed seconds. Results land in `out` in input order.
-double stream_decode_all(core::SimdBatchFixedDecoder& eng,
-                         const std::vector<std::vector<quant::QLLR>>& channels,
-                         std::vector<core::DecodeResult>& out) {
+/// Times decode_stream over `channels` (frame-major vectors), best of
+/// kTimedPasses; returns coded Mbit/s. Results land in `out` in input order.
+double time_stream(core::SimdBatchFixedDecoder& eng,
+                   const std::vector<std::vector<quant::QLLR>>& channels,
+                   std::vector<core::DecodeResult>& out, int n_bits) {
     struct Src {
         const std::vector<std::vector<quant::QLLR>>* ch;
     } src{&channels};
-    const auto t0 = std::chrono::steady_clock::now();
-    eng.decode_stream(
-        channels.size(),
-        [](void* ctx, std::size_t f, quant::QLLR* dst) {
-            const auto& v = (*static_cast<const Src*>(ctx)->ch)[f];
-            std::copy(v.begin(), v.end(), dst);
-        },
-        &src, out.data());
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    const double s = best_pass_seconds([&] {
+        eng.decode_stream(
+            channels.size(),
+            [](void* ctx, std::size_t f, quant::QLLR* dst) {
+                const auto& v = (*static_cast<const Src*>(ctx)->ch)[f];
+                std::copy(v.begin(), v.end(), dst);
+            },
+            &src, out.data());
+    });
+    return mbps(n_bits, channels.size(), s);
 }
 
 /// Frame-by-frame equivalence of two decode passes (the early-termination
@@ -330,36 +354,20 @@ int main(int argc, char** argv) try {
             code, es_cfg, core::FixedArith(es_cfg.rule, quant::kQuant6, &table,
                                            es_cfg.normalization, es_cfg.offset));
         std::vector<core::DecodeResult> ref(es_channels.size());
-        scalar.decode_into(es_channels[0], ref[0]);  // warmup sizes all state
-        {
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t f = 0; f < es_channels.size(); ++f)
-                scalar.decode_into(es_channels[f], ref[f]);
-            const double s =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-            row.scalar_es_mbps = s > 0.0 ? static_cast<double>(code.n()) *
-                                               static_cast<double>(es_channels.size()) / s / 1e6
-                                         : 0.0;
-        }
+        row.scalar_es_mbps = mbps(code.n(), es_channels.size(), best_pass_seconds([&] {
+                                      for (std::size_t f = 0; f < es_channels.size(); ++f)
+                                          scalar.decode_into(es_channels[f], ref[f]);
+                                  }));
 
         // Frame-per-lane stream, full budget (the pre-compaction baseline).
         core::SimdBatchFixedDecoder fixed_eng(code, fixed_cfg, quant::kQuant6);
         std::vector<core::DecodeResult> scratch(es_channels.size());
-        stream_decode_all(fixed_eng, es_channels, scratch);  // warmup
-        const double s_fixed = stream_decode_all(fixed_eng, es_channels, scratch);
-        row.fixed_mbps = s_fixed > 0.0 ? static_cast<double>(code.n()) *
-                                             static_cast<double>(es_channels.size()) / s_fixed /
-                                             1e6
-                                       : 0.0;
+        row.fixed_mbps = time_stream(fixed_eng, es_channels, scratch, code.n());
 
         // Frame-per-lane stream with per-lane early termination + compaction.
         core::SimdBatchFixedDecoder es_eng(code, es_cfg, quant::kQuant6);
         std::vector<core::DecodeResult> es_res(es_channels.size());
-        stream_decode_all(es_eng, es_channels, es_res);  // warmup
-        const double s_es = stream_decode_all(es_eng, es_channels, es_res);
-        row.es_mbps = s_es > 0.0 ? static_cast<double>(code.n()) *
-                                       static_cast<double>(es_channels.size()) / s_es / 1e6
-                                 : 0.0;
+        row.es_mbps = time_stream(es_eng, es_channels, es_res, code.n());
         row.es_multiplier = row.fixed_mbps > 0.0 ? row.es_mbps / row.fixed_mbps : 0.0;
 
         row.es_exact = results_equal(ref, es_res);
@@ -388,6 +396,7 @@ int main(int argc, char** argv) try {
            << "  \"width\": " << core::simd_backend_width() << ",\n"
            << "  \"rate\": \"" << code::to_string(rate) << "\",\n"
            << "  \"iters\": " << iters << ",\n  \"frames\": " << frames << ",\n"
+           << "  \"timed_passes\": " << kTimedPasses << ",\n"
            << "  \"results\": [\n";
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const Row& r = rows[i];

@@ -190,7 +190,8 @@ Engine::Engine(const EngineSpec& spec, std::size_t n) : spec_(spec), n_(n) {
 Engine::~Engine() = default;
 
 template <class Word>
-void Engine::stage(std::span<const double> llr, Word* dst) const {
+void Engine::stage(std::span<const double> llr, Word* dst,
+                   std::optional<std::size_t> frame) const {
     if constexpr (std::is_same_v<Word, quant::QLLR>) {
         // quantize_finite is built with the SIMD backend's -m flags, so a
         // scalar-backend engine, which must run on any host, stays on the loop.
@@ -199,10 +200,11 @@ void Engine::stage(std::span<const double> llr, Word* dst) const {
             return;
     }
     // Float and scalar-backend engines, or a non-finite LLR: this loop
-    // names its index.
+    // names its index (and its frame, in a batch).
     for (std::size_t i = 0; i < llr.size(); ++i) {
         DVBS2_REQUIRE(std::isfinite(llr[i]),
-                      "non-finite channel LLR at index " + std::to_string(i));
+                      (frame ? "frame " + std::to_string(*frame) + ": " : std::string()) +
+                          "non-finite channel LLR at index " + std::to_string(i));
         if constexpr (std::is_same_v<Word, double>)
             dst[i] = util::clamp_llr(llr[i]);
         else
@@ -210,12 +212,13 @@ void Engine::stage(std::span<const double> llr, Word* dst) const {
     }
 }
 
-void Engine::stage_and_decode(std::span<const double> llr, DecodeResult& out) {
+void Engine::stage_and_decode(std::span<const double> llr, DecodeResult& out,
+                              std::optional<std::size_t> frame) {
     if (spec_.arith == Arithmetic::Fixed) {
-        stage(llr, quantized_.data());
+        stage(llr, quantized_.data(), frame);
         decode_staged(std::span<const quant::QLLR>(quantized_), out);
     } else {
-        stage(llr, clamped_.data());
+        stage(llr, clamped_.data(), frame);
         decode_staged(std::span<const double>(clamped_), out);
     }
 }
@@ -291,7 +294,7 @@ void Engine::decode_staged(std::span<const quant::QLLR> /*qllr*/, DecodeResult& 
 
 void Engine::decode_frames(std::span<const double> llrs, std::span<DecodeResult> out) {
     for (std::size_t f = 0; f < out.size(); ++f)
-        stage_and_decode(llrs.subspan(f * n_, n_), out[f]);
+        stage_and_decode(llrs.subspan(f * n_, n_), out[f], f);
 }
 
 DecodeResult Engine::decode(std::span<const double> llr) {
@@ -479,7 +482,7 @@ private:
     };
     static void stage_frame(void* c, std::size_t f, quant::QLLR* dst) {
         auto* s = static_cast<StreamCtx*>(c);
-        s->self->stage(std::span<const double>(s->llrs + f * s->n, s->n), dst);
+        s->self->stage(std::span<const double>(s->llrs + f * s->n, s->n), dst, f);
     }
 
     const char* name_;

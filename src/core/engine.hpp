@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -193,10 +194,12 @@ protected:
     Engine(const EngineSpec& spec, std::size_t n);
 
     /// The one channel staging routine: throws naming the index of the
-    /// first non-finite LLR, otherwise writes the clamped (Word = double)
-    /// or quantized (Word = quant::QLLR) frame to dst[0, llr.size()).
+    /// first non-finite LLR, after "frame f: " when staging frame `frame`
+    /// of a batch, otherwise writes the clamped (Word = double) or
+    /// quantized (Word = quant::QLLR) frame to dst[0, llr.size()).
     template <class Word>
-    void stage(std::span<const double> llr, Word* dst) const;
+    void stage(std::span<const double> llr, Word* dst,
+               std::optional<std::size_t> frame = std::nullopt) const;
 
     // --- backend implementation points (template-method pattern): the
     // --- public decode calls stage the input, call these and record
@@ -214,8 +217,10 @@ protected:
     virtual void decode_frames(std::span<const double> llrs, std::span<DecodeResult> out);
 
 private:
-    /// Stages one frame into the engine's buffer and decodes it.
-    void stage_and_decode(std::span<const double> llr, DecodeResult& out);
+    /// Stages one frame (frame `frame` of a batch) into the engine's buffer
+    /// and decodes it.
+    void stage_and_decode(std::span<const double> llr, DecodeResult& out,
+                          std::optional<std::size_t> frame = std::nullopt);
     void record(const DecodeResult& r);
 
     EngineSpec spec_;

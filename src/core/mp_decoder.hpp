@@ -156,6 +156,17 @@ public:
         if (kFused || cfg_.schedule == Schedule::Layered) init_posterior_totals();
     }
 
+    /// begin() over the channel already held: zeroes all message state and
+    /// sets the posterior totals to the channel. The frame-per-lane batch
+    /// engine splices each lane's channel into ch_in/ch_p through
+    /// state_view() first, so no lane-major copy of the channel exists.
+    void begin_in_place()
+        requires kFused
+    {
+        reset_state();
+        init_posterior_totals();
+    }
+
     /// Runs one full iteration (variable phase + check phase); posteriors
     /// are valid afterwards via posterior_in()/posterior_p(). Fused, only
     /// the two-phase schedule's O(m) parity-node pass runs before the check

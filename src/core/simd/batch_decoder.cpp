@@ -11,14 +11,15 @@
 // schedule makes becomes a contiguous vector load/store: unlike the
 // group-parallel engine, this mode needs no gather instructions for
 // messages (32-bit lanes still gather the Exact rule's correction table;
-// 16-bit lanes compare against its staircase instead). The lane arithmetic
+// 16-bit lanes look it up with byte shuffles instead). The lane arithmetic
 // asks MpDecoder for the fused variable phase, so no v2c array exists.
 //
 // Lane width: LaneBlock<V> is instantiated twice, on the backend's 16-bit
 // and 32-bit vectors. The constructor picks one from the range certificate
-// (frame_lane_bits); 16-bit lanes are exact because every value a lane ever
-// holds is proven to fit, and add/sub chains wrap modulo 2^16, so only
-// their results need to.
+// and, for the Exact rule, the correction table (frame_lane_bits); 16-bit
+// lanes are exact because every value a lane ever holds is proven to fit,
+// add/sub chains wrap modulo 2^16, so only their results need to, and the
+// table is zero past the 16 entries their lookup holds.
 //
 // Early stopping is per lane. After each step in which some lane is due
 // for its syndrome check, one sign mask per variable node (a movemask on
@@ -30,15 +31,19 @@
 // (codeword, iteration count) at its own stopping iteration while the
 // remaining lanes keep iterating.
 //
+// Lane filling: each call splices its first frames straight into the
+// decoder's lane columns of ch_in/ch_p (MpDecoder::state_view()) and then
+// zeroes the message state once (MpDecoder::begin_in_place()); no
+// lane-major copy of the channel is kept.
+//
 // Lane compaction (decode_stream): a retired lane is reset in place —
 // zero its column of the cross-iteration message arrays, splice the next
 // pending frame's channel into its column of ch_in/ch_p and of the
 // posterior totals (post_prev of the fused reads, Layered's running
-// totals) via MpDecoder::state_view(). That reproduces exactly the
-// per-lane state begin() builds for a fresh frame, so a frame decoded by a
-// recycled lane is still bit-identical to its scalar decode; each lane
-// carries its own iteration counter and result slot, so results land in
-// input order.
+// totals). That reproduces exactly the per-lane state begin() builds for a
+// fresh frame, so a frame decoded by a recycled lane is still bit-identical
+// to its scalar decode; each lane carries its own iteration counter and
+// result slot, so results land in input order.
 #include "core/simd/batch_decoder.hpp"
 
 #include <algorithm>
@@ -127,7 +132,8 @@ private:
 constexpr long long kLane16Max = std::numeric_limits<std::int16_t>::max();
 
 /// The lane-width rule of SimdBatchFixedDecoder's constructor: 16 when the
-/// certificate proves every value a lane computes fits int16, else 32.
+/// certificate proves every value a lane computes fits int16 and an Exact
+/// rule's correction table fits the 16-entry lookup, else 32.
 int frame_lane_bits(const code::Dvbs2Code& code, const DecoderConfig& cfg,
                     const quant::QuantSpec& spec) {
     const analysis::ir::RangeCertificate cert =
@@ -139,9 +145,8 @@ int frame_lane_bits(const code::Dvbs2Code& code, const DecoderConfig& cfg,
         if (b > kLane16Max) return 32;
     // the combine's correction index |a ± b| of two stored words
     if (2LL * spec.max_raw() > kLane16Max) return 32;
-    if (cfg.rule == CheckRule::Exact &&
-        quant::BoxplusTable(spec).corr(0) > sv::kMaxCorrSteps)
-        return 32;
+    // the Exact correction's 16-entry byte-shuffle lookup
+    if (cfg.rule == CheckRule::Exact && !sv::lookup_covers(quant::BoxplusTable(spec))) return 32;
     return 16;
 }
 
@@ -162,31 +167,12 @@ public:
               BatchLaneArith<V>(cfg.rule, spec, cfg.rule == CheckRule::Exact ? &table_ : nullptr,
                                 cfg.normalization, cfg.offset)) {
         const auto n = static_cast<std::size_t>(code.params().n);
-        ch_.resize(n);
         stage_.resize(n);
         plane_.resize(n);
     }
 
     int lanes() const noexcept override { return W; }
     int lane_bits() const noexcept override { return V::bits; }
-
-    /// Transposes `frames` frame-major channel vectors into the lane-major
-    /// block; unused lanes replicate frame 0 (their results are discarded).
-    void load_block(std::span<const QLLR> qllr, std::size_t frames) {
-        const auto n = static_cast<std::size_t>(code_->params().n);
-        DVBS2_REQUIRE(frames >= 1 && frames <= static_cast<std::size_t>(W),
-                      "batch frames must be in [1, lanes()]");
-        DVBS2_REQUIRE(qllr.size() == frames * n, "batch channel length mismatch");
-        Lane tmp[W];
-        for (std::size_t i = 0; i < n; ++i) {
-            for (int l = 0; l < W; ++l) {
-                const auto f = static_cast<std::size_t>(l) < frames ? static_cast<std::size_t>(l)
-                                                                    : std::size_t{0};
-                tmp[l] = static_cast<Lane>(qllr[f * n + i]);
-            }
-            ch_[i] = Val(V::load(tmp));
-        }
-    }
 
     /// One lane's selector: all-ones in lane l (`one`), and its complement.
     /// Splicing through masks keeps every register in vector form; a
@@ -210,28 +196,46 @@ public:
         for (Val& v : vals) v.r = V::and_(v.r, lm.rest);
     }
 
+    /// Splices `frame` into one lane's column of the channel (ch_in/ch_p)
+    /// and, with `totals`, of the posterior totals (post_in/post_p) too.
+    void splice_frame(const LaneMask& lm, const QLLR* frame, bool totals) {
+        auto st = mp_.state_view();
+        const std::size_t k = st.ch_in.size();
+        for (std::size_t v = 0; v < k; ++v) {
+            set_lane(st.ch_in[v], lm, frame[v]);
+            if (totals) set_lane(st.post_in[v], lm, frame[v]);
+        }
+        for (std::size_t j = 0; j < st.ch_p.size(); ++j) {
+            set_lane(st.ch_p[j], lm, frame[k + j]);
+            if (totals) set_lane(st.post_p[j], lm, frame[k + j]);
+        }
+    }
+
+    /// Splices frames 0..count of `source` into lanes 0..count and restarts
+    /// the decoder from the channel: message state zero, posterior totals
+    /// equal to the channel. Surplus lanes keep the channel a previous call
+    /// left behind (always in-range quantized values, or the zeros of
+    /// construction); they compute in lockstep but are never read out.
+    void fill_lanes(std::size_t count, SimdBatchFixedDecoder::FrameSource source, void* ctx) {
+        for (std::size_t l = 0; l < count; ++l) {
+            source(ctx, l, stage_.data());
+            splice_frame(lane_mask(l), stage_.data(), /*totals=*/false);
+        }
+        mp_.begin_in_place();
+    }
+
     /// Resets lane `l` in place for a fresh frame (lane compaction): zero
     /// its column of every cross-iteration message array and splice the new
     /// channel into its column of ch_in/ch_p and of the posterior totals —
     /// exactly the per-lane state begin() builds. See
     /// MpDecoder::state_view() for why the scratch arrays need no reset.
     void reset_lane(std::size_t l, const QLLR* frame) {
-        const auto& cp = code_->params();
         const LaneMask lm = lane_mask(l);
         auto st = mp_.state_view();
         zero_lane(st.c2v, lm);
         zero_lane(st.down, lm);
         zero_lane(st.up, lm);
-        const auto k = static_cast<std::size_t>(cp.k);
-        const auto m = static_cast<std::size_t>(cp.m());
-        for (std::size_t v = 0; v < k; ++v) {
-            set_lane(st.ch_in[v], lm, frame[v]);
-            set_lane(st.post_in[v], lm, frame[v]);
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            set_lane(st.ch_p[j], lm, frame[k + j]);
-            set_lane(st.post_p[j], lm, frame[k + j]);
-        }
+        splice_frame(lm, frame, /*totals=*/true);
     }
 
     /// Packs the posterior signs into the sign plane: bit l of plane_[v] is
@@ -297,23 +301,27 @@ public:
         r.info_bits.assign_prefix(r.codeword);
     }
 
-    /// Single lane block: decode_stream over a frame-major span.
-    void decode_into(std::span<const QLLR> qllr, std::size_t frames, DecodeResult* out) override {
+    /// A frame source over a frame-major span of one lane block.
+    struct SpanSource {
+        const QLLR* data;
+        std::size_t n;
+        static void copy(void* ctx, std::size_t f, QLLR* dst) {
+            const auto* s = static_cast<const SpanSource*>(ctx);
+            std::copy(s->data + f * s->n, s->data + (f + 1) * s->n, dst);
+        }
+    };
+    SpanSource block_source(std::span<const QLLR> qllr, std::size_t frames) const {
         const auto n = static_cast<std::size_t>(code_->params().n);
         DVBS2_REQUIRE(frames >= 1 && frames <= static_cast<std::size_t>(W),
                       "batch frames must be in [1, lanes()]");
         DVBS2_REQUIRE(qllr.size() == frames * n, "batch channel length mismatch");
-        struct SpanSource {
-            const QLLR* data;
-            std::size_t n;
-        } src{qllr.data(), n};
-        decode_stream(
-            frames,
-            [](void* ctx, std::size_t f, QLLR* dst) {
-                const auto* s = static_cast<const SpanSource*>(ctx);
-                std::copy(s->data + f * s->n, s->data + (f + 1) * s->n, dst);
-            },
-            &src, out);
+        return {qllr.data(), n};
+    }
+
+    /// Single lane block: decode_stream over a frame-major span.
+    void decode_into(std::span<const QLLR> qllr, std::size_t frames, DecodeResult* out) override {
+        SpanSource src = block_source(qllr, frames);
+        decode_stream(frames, &SpanSource::copy, &src, out);
     }
 
     void decode_stream(std::size_t frames, SimdBatchFixedDecoder::FrameSource source, void* ctx,
@@ -321,8 +329,6 @@ public:
         DVBS2_REQUIRE(frames >= 1, "decode_stream needs at least one frame");
         DVBS2_REQUIRE(source != nullptr && out != nullptr,
                       "decode_stream needs a frame source and result storage");
-        const std::size_t n = ch_.size();
-
         if (cfg_.max_iterations == 0) {
             // Mirror the scalar reference: decide straight from the channel
             // (no vector work; no lane is ever occupied).
@@ -334,17 +340,9 @@ public:
             return;
         }
 
-        // Fill the lanes with the first min(W, frames) frames. Surplus
-        // lanes keep whatever channel the previous call left behind (always
-        // in-range quantized values, or the zeros of construction); they
-        // compute in lockstep but are never hardened or read out.
+        // Fill the lanes with the first min(W, frames) frames.
         const std::size_t first = std::min(frames, static_cast<std::size_t>(W));
-        for (std::size_t l = 0; l < first; ++l) {
-            source(ctx, l, stage_.data());
-            const LaneMask lm = lane_mask(l);
-            for (std::size_t i = 0; i < n; ++i) set_lane(ch_[i], lm, stage_[i]);
-        }
-        mp_.begin(ch_);
+        fill_lanes(first, source, ctx);
 
         // Per-lane bookkeeping: the result slot a lane writes (null = idle)
         // and how many iterations its current frame has run. Lanes drift
@@ -416,8 +414,8 @@ public:
     }
 
     void run_iterations(std::span<const QLLR> qllr, std::size_t frames, int iters) override {
-        load_block(qllr, frames);
-        mp_.begin(ch_);
+        SpanSource src = block_source(qllr, frames);
+        fill_lanes(frames, &SpanSource::copy, &src);
         for (int i = 0; i < iters; ++i) mp_.step();
     }
 
@@ -438,7 +436,6 @@ private:
     DecoderConfig cfg_;
     quant::BoxplusTable table_;
     MpDecoder<BatchLaneArith<V>> mp_;
-    std::vector<Val> ch_;      // lane-major staged channel block
     std::vector<QLLR> stage_;  // one frame's channel, staging area for lane splices
     std::vector<std::uint32_t> plane_;  // sign plane: one lane-sign word per variable node
 };

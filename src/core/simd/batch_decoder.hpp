@@ -23,10 +23,11 @@
 //
 // Lane width: the decoder computes in 16-bit lanes (W=16 on AVX2, 8 on
 // SSE4.1/NEON, 16 on the scalar fallback) whenever the checker-verified
-// range certificate proves every value fits, and in 32-bit lanes (W=8 on
-// AVX2, 4 on SSE4.1/NEON, 8 on the scalar fallback) otherwise; both are
-// the same code. lane_bits() reports the choice; see the constructor for
-// the rule. There is no knob: the certificate decides.
+// range certificate proves every value fits and, for the Exact rule, the
+// correction table fits a 16-entry byte-shuffle lookup; in 32-bit lanes
+// (W=8 on AVX2, 4 on SSE4.1/NEON, 8 on the scalar fallback) otherwise;
+// both are the same code. lane_bits() reports the choice; see the
+// constructor for the rule. There is no knob.
 //
 // Memory layout: messages are stored lane-major (one vector register per
 // edge), so every message access of the scalar schedule becomes a
@@ -35,7 +36,9 @@
 // frame-edge is kept — 2 bytes on 16-bit lanes — because the variable
 // phase is fused into the check phase (core/mp_decoder.hpp): each v2c
 // message is formed from the posterior as the check node reads it. The
-// sign plane adds 4 bytes per variable node (259 KB at N = 64800).
+// sign plane adds 4 bytes per variable node (259 KB at N = 64800); each
+// frame's channel is spliced straight into the decoder's lane columns, so
+// no second, lane-major copy of it is kept.
 //
 // This header is intrinsic-free; batch_decoder.cpp is the only other TU
 // built with SIMD compiler flags (see src/core/CMakeLists.txt).
@@ -69,9 +72,10 @@ public:
     ///  - the correction index |a ± b| <= 2·max_raw fits too;
     ///  - the certificate covers `code`'s degrees
     ///    (range_certificate_covers);
-    ///  - for the Exact rule, the correction staircase
-    ///    (BoxplusTable::corr_thresholds) is at most simd::kMaxCorrSteps
-    ///    long.
+    ///  - for the Exact rule, the correction table is zero from index 15
+    ///    on (simd::lookup_covers), so the 16-bit lanes' 16-entry
+    ///    byte-shuffle lookup holds it: every quantizer with at most 2
+    ///    fractional bits, and {4, 3}.
     SimdBatchFixedDecoder(const code::Dvbs2Code& code, const DecoderConfig& cfg,
                           const quant::QuantSpec& spec = quant::kQuant6);
     ~SimdBatchFixedDecoder();

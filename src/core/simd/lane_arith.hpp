@@ -13,12 +13,13 @@
 // bits, int32 or int16):
 //   sign mask   m = v >> (B−1)         (all-ones iff v < 0)
 //   negate-if   (x ^ m) - m            (x if m == 0, -x if m == all-ones)
-//   product sign  (a ^ b) >> (B−1)     (all-ones iff signs differ)
+//   sign copy   sign_(x, v) = x·sgn(v) (psign; 0 where v = 0)
 //
-// The Exact rule's correction corr(|a±b|) is a table gather on 32-bit lanes.
-// 16-bit lanes have no gather (AVX2 has none), so there it is a compare
-// staircase derived from the same table (BoxplusTable::corr_thresholds):
-// corr(x) = Σ_k [x < t_k], e.g. [x<1]+[x<4]+[x<9] for kQuant6.
+// The Exact rule's correction corr(|a+b|) − corr(|a−b|) is a table gather
+// on 32-bit lanes. 16-bit lanes have no gather (AVX2 has none), so there it
+// is two 16-entry byte-shuffle lookups of the same table, indices clamped
+// to 15 (V::lookup_diff): exact whenever corr is 0 from index 15 on, which
+// frame_lane_bits (batch_decoder.cpp) requires before it picks 16 bits.
 #pragma once
 
 #include "core/simd/vec.hpp"
@@ -27,22 +28,23 @@
 #include "util/error.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace dvbs2::core::simd {
 
-/// Longest correction staircase (corr(0) = round(ln 2 / step) steps) the
-/// 16-bit lanes evaluate. Each step costs two compares and two adds in
-/// every Exact combine, on top of its 14 other operations (7 for the signed
-/// minimum, 4 for |a ± b|, 3 to add the correction and saturate): 26
-/// operations at kQuant6's 3 steps, 18 at kQuant5's one, against 7 for a
-/// min-sum combine. Eight covers every quantizer with at most 3 fractional
-/// bits (3 fractional bits take six steps); a finer quantizer runs 32-bit
-/// lanes, whose table gather costs the same at any table length. The
-/// length is read at run time: compiling the shipped lengths (1 and 3)
-/// unrolled measured within noise on engine_waterfall and the service.
-inline constexpr int kMaxCorrSteps = 8;
+/// Entries of the 16-bit lanes' correction lookup (one byte shuffle).
+inline constexpr int kLookupEntries = 16;
+
+/// True when corr is 0 from index kLookupEntries − 1 on, so clamping a
+/// correction index to 15 leaves corr unchanged: the 16-bit lanes' Exact
+/// rule needs this. It holds for every quantizer with at most 2 fractional
+/// bits and for {4, 3}, whose table ends at index 14.
+inline bool lookup_covers(const quant::BoxplusTable& table) {
+    for (std::size_t x = kLookupEntries - 1; x < table.corr_size(); ++x)
+        if (table.corr(static_cast<quant::QLLR>(x)) != 0) return false;
+    return true;
+}
 
 template <class V>
 class LaneFixedArith {
@@ -54,7 +56,7 @@ public:
     /// Mirrors FixedArith's constructor; `table` must outlive the object and
     /// is only required for CheckRule::Exact. On 16-bit lanes the caller
     /// must have proven every value fits (see SimdBatchFixedDecoder), and
-    /// an Exact table's staircase must be at most kMaxCorrSteps long.
+    /// an Exact table must be covered by the lookup (lookup_covers).
     LaneFixedArith(CheckRule rule, const quant::QuantSpec& spec, const quant::BoxplusTable* table,
                    double normalization, double offset)
         : rule_(rule),
@@ -68,12 +70,12 @@ public:
             DVBS2_REQUIRE(table != nullptr, "Exact fixed rule needs a BoxplusTable");
             DVBS2_REQUIRE(table->spec() == spec, "BoxplusTable spec mismatch");
             if constexpr (V::bits == 16) {
-                const std::vector<quant::QLLR> t = table->corr_thresholds();
-                DVBS2_REQUIRE(t.size() <= static_cast<std::size_t>(kMaxCorrSteps),
-                              "correction staircase longer than kMaxCorrSteps");
-                steps_ = static_cast<int>(t.size());
-                for (int k = 0; k < steps_; ++k)
-                    thresholds_[k] = V::broadcast(static_cast<Lane>(t[static_cast<std::size_t>(k)]));
+                DVBS2_REQUIRE(lookup_covers(*table),
+                              "correction table not zero from index 15 on (16-bit lanes)");
+                std::uint8_t t[kLookupEntries];
+                for (int x = 0; x < kLookupEntries; ++x)
+                    t[x] = static_cast<std::uint8_t>(table->corr(x));
+                lut_ = V::lut16(t);
             }
         }
     }
@@ -82,15 +84,22 @@ public:
     Value saturate(Value w) const { return V::min(V::max(w, lo_), hi_); }
     Value narrow(Value w) const { return saturate(w); }
 
-    /// Lane-wise pairwise combine; bit-exact with FixedArith::combine.
+    /// Lane-wise pairwise combine of two words in [−max_raw, max_raw];
+    /// bit-exact with FixedArith::combine. The signed minimum takes two sign
+    /// copies (where a or b is 0 they give 0, and so does the minimum). The
+    /// Exact result needs no saturation: corr never rises and corr(0) <=
+    /// max_raw for every valid spec, so with equal signs the correction
+    /// difference lies in [−corr(0), 0] and the result in [m − corr(0), m],
+    /// and with opposite signs it mirrors that. 15 operations on 16-bit
+    /// lanes (5 for the signed minimum, 4 for |a ± b|, 5 for the lookups,
+    /// 1 to add), against 5 for a min-sum combine.
     Value combine(Value a, Value b) const {
-        const Value prod_sign = V::template srai<kSignShift>(V::xor_(a, b));
         const Value m = V::min(V::abs_(a), V::abs_(b));
-        const Value signed_m = negate_if(m, prod_sign);
+        const Value signed_m = V::sign_(V::sign_(m, a), b);
         if (rule_ != CheckRule::Exact) return signed_m;
         const Value sum_mag = V::abs_(V::add(a, b));
         const Value dif_mag = V::abs_(V::sub(a, b));
-        return saturate(V::add(signed_m, corr_difference(sum_mag, dif_mag)));
+        return V::add(signed_m, corr_difference(sum_mag, dif_mag));
     }
 
     /// Lane-wise output post-processing; bit-exact with FixedArith::finalize.
@@ -118,16 +127,10 @@ private:
 
     /// corr(x) − corr(y), lane-wise.
     Value corr_difference(Value x, Value y) const {
-        if constexpr (V::bits == 16) {
-            // cmpgt(t, x) is −[x < t] per lane, so each step adds
-            // [x < t] − [y < t] = cmpgt(t, y) − cmpgt(t, x).
-            Value d = V::broadcast(0);
-            for (int k = 0; k < steps_; ++k)
-                d = V::add(d, V::sub(V::cmpgt(thresholds_[k], y), V::cmpgt(thresholds_[k], x)));
-            return d;
-        } else {
+        if constexpr (V::bits == 16)
+            return V::lookup_diff(lut_, x, y);
+        else
             return V::sub(corr(x), corr(y));
-        }
     }
 
     /// Lane-wise correction lookup: table[idx] for idx < len, else 0. The
@@ -146,8 +149,7 @@ private:
     Lane offset_raw_;
     const std::int32_t* corr_data_;  // 32-bit lanes: the gathered table
     std::int32_t corr_len_;
-    int steps_ = 0;                     // 16-bit lanes: the staircase
-    Value thresholds_[kMaxCorrSteps]{};
+    Value lut_{};  // 16-bit lanes: corr(0..15) in V::lut16's layout
 };
 
 }  // namespace dvbs2::core::simd

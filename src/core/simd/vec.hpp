@@ -3,15 +3,22 @@
 // Each backend exposes the same static interface over a register of
 // `width` lanes of `lane_t` (`bits` wide): loads/stores, saturating-add
 // building blocks (add/sub/min/max/abs), sign manipulation
-// (xor/and/or/srai/cmpgt), a multiply for the normalized-min-sum scale, a
-// lane sign mask (sign_bits: bit l = lane l's sign, the frame-per-lane
-// decoder's sign plane), and — on 32-bit lanes only — a gather for the
-// boxplus correction LUT. Every backend comes in two lane widths: int32
-// (the raw quantized-LLR type, ActiveVec) and int16 (ActiveVec16, twice
-// the lanes per register; the frame-per-lane decoder runs it when the
-// range certificate proves every value fits). Add/sub/mullo wrap modulo
-// the lane width like the intrinsics, so a chain of them is exact
-// whenever its result fits.
+// (xor/and/or/srai/cmpgt, and sign_: a·sgn(b) per lane, SSSE3's psign), a
+// multiply for the normalized-min-sum scale, a lane sign mask (sign_bits:
+// bit l = lane l's sign, the frame-per-lane decoder's sign plane), and the
+// boxplus correction LUT: a gather on 32-bit lanes, and on 16-bit lanes a
+// 16-entry byte-shuffle lookup (lut16/lookup_diff). Every backend comes in
+// two lane widths: int32 (the raw quantized-LLR type, ActiveVec) and int16
+// (ActiveVec16, twice the lanes per register; the frame-per-lane decoder
+// runs it when the range certificate proves every value fits). Add/sub/
+// mullo wrap modulo the lane width like the intrinsics, so a chain of them
+// is exact whenever its result fits.
+//
+// lookup_diff(t, x, y) returns t[min(x,15)] − t[min(y,15)] per lane for
+// x, y >= 0 and entries t[i] in [0, 255]. The shuffles index bytes: a
+// clamped index's low byte selects t[idx] and its high byte, 0, selects
+// t[0], so each lookup reads t[0]·256 + t[idx] and the two t[0]·256 terms
+// cancel in the subtraction.
 // The backend is chosen at configure time (CMake option DVBS2_SIMD → one
 // DVBS2_SIMD_* macro); only the two SIMD engine TUs (simd_decoder.cpp,
 // batch_decoder.cpp) and the staging quantizer (quantize.cpp) include this
@@ -110,10 +117,32 @@ struct VecScalar {
         for (int i = 0; i < W; ++i) a.lane[i] = a.lane[i] > b.lane[i] ? T(-1) : T(0);
         return a;
     }
+    /// Per lane a·sgn(b): a where b > 0, −a where b < 0, 0 where b = 0.
+    static reg sign_(reg a, reg b) {
+        for (int i = 0; i < W; ++i) {
+            if (b.lane[i] < 0) a.lane[i] = static_cast<T>(-a.lane[i]);
+            else if (b.lane[i] == 0) a.lane[i] = 0;
+        }
+        return a;
+    }
     static reg gather(const T* base, reg idx) {
         reg r;
         for (int i = 0; i < W; ++i) r.lane[i] = base[idx.lane[i]];
         return r;
+    }
+    /// The 16-entry table of lookup_diff, entry i in lane i.
+    static reg lut16(const std::uint8_t* t) {
+        static_assert(W >= 16, "lut16 keeps one entry per lane");
+        reg r = broadcast(0);
+        for (int i = 0; i < 16; ++i) r.lane[i] = static_cast<T>(t[i]);
+        return r;
+    }
+    /// Per lane t[min(x,15)] − t[min(y,15)], for x, y >= 0.
+    static reg lookup_diff(reg t, reg x, reg y) {
+        for (int i = 0; i < W; ++i)
+            x.lane[i] = static_cast<T>(t.lane[x.lane[i] < 15 ? x.lane[i] : 15] -
+                                       t.lane[y.lane[i] < 15 ? y.lane[i] : 15]);
+        return x;
     }
     /// Bit l set iff lane l is negative.
     static std::uint32_t sign_bits(reg a) {
@@ -152,6 +181,7 @@ struct VecAvx2 {
         return _mm256_srai_epi32(a, K);
     }
     static reg cmpgt(reg a, reg b) { return _mm256_cmpgt_epi32(a, b); }
+    static reg sign_(reg a, reg b) { return _mm256_sign_epi32(a, b); }
     static reg gather(const std::int32_t* base, reg idx) {
         return _mm256_i32gather_epi32(base, idx, 4);
     }
@@ -160,8 +190,8 @@ struct VecAvx2 {
     }
 };
 
-/// 16 lanes of int16. AVX2 has no 16-bit gather; LaneFixedArith computes
-/// the Exact-rule correction with compares on these lanes instead.
+/// 16 lanes of int16. AVX2 has no 16-bit gather; the Exact-rule
+/// correction is a byte shuffle of a 16-entry table on these lanes instead.
 struct VecAvx2I16 {
     using lane_t = std::int16_t;
     static constexpr int width = 16;
@@ -189,6 +219,16 @@ struct VecAvx2I16 {
         return _mm256_srai_epi16(a, K);
     }
     static reg cmpgt(reg a, reg b) { return _mm256_cmpgt_epi16(a, b); }
+    static reg sign_(reg a, reg b) { return _mm256_sign_epi16(a, b); }
+    /// The table in both 128-bit halves: vpshufb looks up within each half.
+    static reg lut16(const std::uint8_t* t) {
+        return _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(t)));
+    }
+    static reg lookup_diff(reg t, reg x, reg y) {
+        const reg top = _mm256_set1_epi16(15);
+        return _mm256_sub_epi16(_mm256_shuffle_epi8(t, _mm256_min_epi16(x, top)),
+                                _mm256_shuffle_epi8(t, _mm256_min_epi16(y, top)));
+    }
     /// The saturating pack keeps each lane's sign in one byte, in lane order.
     static std::uint32_t sign_bits(reg a) {
         const __m128i packed =
@@ -230,6 +270,7 @@ struct VecSse41 {
         return _mm_srai_epi32(a, K);
     }
     static reg cmpgt(reg a, reg b) { return _mm_cmpgt_epi32(a, b); }
+    static reg sign_(reg a, reg b) { return _mm_sign_epi32(a, b); }
     /// SSE4.1 has no gather instruction; emulate with lane loads.
     static reg gather(const std::int32_t* base, reg idx) {
         alignas(16) std::int32_t i[4];
@@ -269,6 +310,15 @@ struct VecSse41I16 {
         return _mm_srai_epi16(a, K);
     }
     static reg cmpgt(reg a, reg b) { return _mm_cmpgt_epi16(a, b); }
+    static reg sign_(reg a, reg b) { return _mm_sign_epi16(a, b); }
+    static reg lut16(const std::uint8_t* t) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i*>(t));
+    }
+    static reg lookup_diff(reg t, reg x, reg y) {
+        const reg top = _mm_set1_epi16(15);
+        return _mm_sub_epi16(_mm_shuffle_epi8(t, _mm_min_epi16(x, top)),
+                             _mm_shuffle_epi8(t, _mm_min_epi16(y, top)));
+    }
     static std::uint32_t sign_bits(reg a) {
         return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_packs_epi16(a, a))) & 0xFFu;
     }
@@ -304,6 +354,12 @@ struct VecNeon {
     }
     static reg cmpgt(reg a, reg b) {
         return vreinterpretq_s32_u32(vcgtq_s32(a, b));
+    }
+    /// NEON has no psign: multiply by sgn(b) = (b < 0 mask) − (b > 0 mask),
+    /// each mask −1 where it holds.
+    static reg sign_(reg a, reg b) {
+        return vmulq_s32(a, vsubq_s32(vreinterpretq_s32_u32(vcltzq_s32(b)),
+                                      vreinterpretq_s32_u32(vcgtzq_s32(b))));
     }
     /// NEON has no gather; emulate with lane loads.
     static reg gather(const std::int32_t* base, reg idx) {
@@ -345,6 +401,19 @@ struct VecNeonI16 {
     }
     static reg cmpgt(reg a, reg b) {
         return vreinterpretq_s16_u16(vcgtq_s16(a, b));
+    }
+    static reg sign_(reg a, reg b) {
+        return vmulq_s16(a, vsubq_s16(vreinterpretq_s16_u16(vcltzq_s16(b)),
+                                      vreinterpretq_s16_u16(vcgtzq_s16(b))));
+    }
+    static reg lut16(const std::uint8_t* t) { return vreinterpretq_s16_u8(vld1q_u8(t)); }
+    /// tbl returns the byte of each index, like pshufb.
+    static reg lookup_diff(reg t, reg x, reg y) {
+        const uint8x16_t table = vreinterpretq_u8_s16(t);
+        const reg top = vdupq_n_s16(15);
+        const uint8x16_t lx = vqtbl1q_u8(table, vreinterpretq_u8_s16(vminq_s16(x, top)));
+        const uint8x16_t ly = vqtbl1q_u8(table, vreinterpretq_u8_s16(vminq_s16(y, top)));
+        return vsubq_s16(vreinterpretq_s16_u8(lx), vreinterpretq_s16_u8(ly));
     }
     static std::uint32_t sign_bits(reg a) {
         static constexpr std::int16_t kPos[8] = {0, 1, 2, 3, 4, 5, 6, 7};

@@ -36,17 +36,6 @@ BoxplusTable::BoxplusTable(const QuantSpec& spec) : spec_(spec) {
     }
 }
 
-std::vector<QLLR> BoxplusTable::corr_thresholds() const {
-    std::vector<QLLR> t;
-    for (std::size_t i = 1; i <= table_.size(); ++i) {
-        const QLLR next = i < table_.size() ? table_[i] : 0;
-        DVBS2_REQUIRE(next <= table_[i - 1], "boxplus correction table must not rise");
-        // corr drops by (table_[i-1] - next) at x = i: that many thresholds at i
-        t.insert(t.end(), static_cast<std::size_t>(table_[i - 1] - next), static_cast<QLLR>(i));
-    }
-    return t;
-}
-
 QLLR BoxplusTable::boxplus(QLLR a, QLLR b) const noexcept {
     const QLLR mag_a = a < 0 ? -a : a;
     const QLLR mag_b = b < 0 ? -b : b;

@@ -98,13 +98,6 @@ public:
     const QLLR* corr_data() const noexcept { return table_.data(); }
     std::size_t corr_size() const noexcept { return table_.size(); }
 
-    /// The table as a staircase of ascending thresholds t_1 <= ... <= t_s,
-    /// s = corr(0): corr(x) = #{k : x < t_k} for every x >= 0. It exists
-    /// because corr never rises (log1p(e^-x) falls and rounding keeps the
-    /// order) and is 0 past the table. Lane arithmetic without a gather
-    /// evaluates corr with s compares (core/simd/lane_arith.hpp).
-    std::vector<QLLR> corr_thresholds() const;
-
 private:
     QuantSpec spec_;
     std::vector<QLLR> table_;  // corr indexed by raw magnitude

@@ -505,8 +505,8 @@ TEST(LaneCompaction, SignPlaneVerdictsAndCodewordsMatchScalarOnBothLaneWidths) {
     // flag check_syndrome of its codeword. The block holds exact codewords,
     // hopeless frames and easy and hard noisy ones, one frame fewer than
     // the lanes (3 on 4 lanes), so an idle lane computes beside them.
-    // kQuant6 runs 16-bit lanes; {8, 4}'s 11-step staircase runs 32-bit
-    // lanes.
+    // kQuant6 runs 16-bit lanes; {8, 4}, whose correction table outruns the
+    // 16-bit lanes' 16-entry lookup, runs 32-bit lanes.
     const auto& code = toy_code();
     const auto n = static_cast<std::size_t>(code.n());
     for (const dq::QuantSpec& spec : {dq::kQuant6, dq::QuantSpec{8, 4}}) {

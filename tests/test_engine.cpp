@@ -772,8 +772,9 @@ TEST(EngineStaging, NonFiniteLlrNamesItsIndexOnEveryEngine) {
                 dd::DecodeResult out;
                 const std::string single = batch_error([&] { eng->decode_into(llr, out); });
                 ASSERT_TRUE(single.ends_with(want)) << ctx << ": " << single;
+                EXPECT_EQ(single.find("frame "), std::string::npos) << ctx << ": " << single;
 
-                // A batch names the index within the offending frame.
+                // A batch names the offending frame and the index within it.
                 std::vector<double> batch = clean;
                 batch.insert(batch.end(), llr.begin(), llr.end());
                 batch.insert(batch.end(), clean.begin(), clean.end());
@@ -781,6 +782,8 @@ TEST(EngineStaging, NonFiniteLlrNamesItsIndexOnEveryEngine) {
                 const std::string batched =
                     batch_error([&] { eng->decode_batch(batch, outs); });
                 ASSERT_TRUE(batched.ends_with(want)) << ctx << " (batch): " << batched;
+                ASSERT_TRUE(batched.ends_with("frame 1: " + want))
+                    << ctx << " (batch): " << batched;
             }
         }
         // The engine is still usable after the rejected calls.

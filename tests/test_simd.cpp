@@ -1,12 +1,14 @@
 // SIMD backend bit-exactness suite: pins SimdFixedDecoder (group-parallel)
 // and SimdBatchFixedDecoder (frame-per-lane, fused variable phase, 16- or
 // 32-bit lanes) to the scalar MpDecoder<FixedArith> reference, message for
-// message. Any lane-arith, gather, staircase, fusion or lockstep-hazard
+// message. Any lane-arith, gather, lookup, fusion or lockstep-hazard
 // regression (see the snapshot discussion in src/core/simd/simd_decoder.cpp)
-// shows up here as a first-divergence index. The LaneWidth suite pins the
-// frame-per-lane decoder's choice of lane width and every correction
-// staircase length; the StagingQuantizer suite pins the SIMD engines'
-// staging quantizer to quant::quantize.
+// shows up here as a first-divergence index. The LaneArith suite pins the
+// lane arithmetic to FixedArith on every operand pair, on the built
+// backend's vectors (this file compiles with the backend's flags); the
+// LaneWidth suite pins the frame-per-lane decoder's choice of lane width
+// and the correction lookup; the StagingQuantizer suite pins the SIMD
+// engines' staging quantizer to quant::quantize.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +37,7 @@
 #include "core/simd/lane_arith.hpp"
 #include "core/simd/quantize.hpp"
 #include "core/simd/simd_decoder.hpp"
+#include "core/simd/vec.hpp"
 #include "enc/encoder.hpp"
 #include "quant/fixed.hpp"
 
@@ -42,6 +45,7 @@ namespace dc = dvbs2::code;
 namespace dm = dvbs2::comm;
 namespace dd = dvbs2::core;
 namespace dq = dvbs2::quant;
+namespace sv = dvbs2::core::simd;
 using dvbs2::util::BitVec;
 
 namespace {
@@ -482,8 +486,9 @@ TEST(SimdGoldenBer, SimulatePointTalliesMatchScalarBackend) {
 //
 // SimdBatchFixedDecoder computes in 16-bit lanes only when the range
 // certificate proves every value fits, the certificate covers the code's
-// degrees, and (Exact rule) the correction staircase is short enough;
-// otherwise in 32-bit lanes. Both widths must stay bit-exact.
+// degrees, and (Exact rule) the correction table is zero from index 15 on,
+// so a 16-entry byte-shuffle lookup holds it; otherwise in 32-bit lanes.
+// Both widths must stay bit-exact.
 
 namespace {
 
@@ -519,33 +524,121 @@ void expect_width_and_exactness(const dc::Dvbs2Code& code, dd::CheckRule rule,
     }
 }
 
+/// The Exact quantizers the 16-bit lookup holds: every one with at most 2
+/// fractional bits, and {4, 3}, whose table ends at index 14 (2·7).
+bool lookup_expected(const dq::QuantSpec& spec) {
+    return spec.frac_bits <= 2 || 2 * spec.max_raw() + 1 <= sv::kLookupEntries - 1;
+}
+
+/// Every (a, b) in [−max_raw, max_raw]², pair p in lane p mod W: each
+/// lane's combine and finalize(combine) equal FixedArith's.
+template <class V>
+void expect_lanes_match_fixed_arith(dd::CheckRule rule, const dq::QuantSpec& spec,
+                                    const dq::BoxplusTable& table, const std::string& context) {
+    using Lane = typename V::lane_t;
+    constexpr int W = V::width;
+    const dd::DecoderConfig cfg = config_of(dd::Schedule::ZigzagForward, rule);
+    const dq::BoxplusTable* t = rule == dd::CheckRule::Exact ? &table : nullptr;
+    const dd::FixedArith ref(rule, spec, t, cfg.normalization, cfg.offset);
+    const sv::LaneFixedArith<V> lanes(rule, spec, t, cfg.normalization, cfg.offset);
+    const long long span = 2LL * spec.max_raw() + 1;
+    const long long pairs = span * span;
+    Lane a[W], b[W], c[W], f[W];
+    for (long long p0 = 0; p0 < pairs; p0 += W) {
+        for (int l = 0; l < W; ++l) {
+            const long long p = (p0 + l) % pairs;  // the last register wraps
+            a[l] = static_cast<Lane>(p / span - spec.max_raw());
+            b[l] = static_cast<Lane>(p % span - spec.max_raw());
+        }
+        const typename V::reg combined = lanes.combine(V::load(a), V::load(b));
+        V::store(c, combined);
+        V::store(f, lanes.finalize(combined));
+        for (int l = 0; l < W; ++l) {
+            const dq::QLLR want = ref.combine(a[l], b[l]);
+            if (c[l] != want || f[l] != ref.finalize(want)) {
+                ADD_FAILURE() << context << " int" << V::bits << " lane " << l << ": combine("
+                              << a[l] << ", " << b[l] << ") = " << c[l] << " (want " << want
+                              << "), finalized " << f[l] << " (want " << ref.finalize(want)
+                              << ")";
+                return;
+            }
+        }
+    }
+}
+
 }  // namespace
 
-TEST(LaneWidth, StaircaseReproducesTheCorrectionTable) {
-    // The 16-bit lanes' Exact correction is a compare staircase derived from
-    // BoxplusTable: it must equal the table at every index a combine can
-    // form, |a ± b| in 0..2·max_raw, for every quantizer the lanes take.
-    EXPECT_EQ(dq::BoxplusTable(dq::kQuant6).corr_thresholds(), (std::vector<dq::QLLR>{1, 4, 9}));
-    EXPECT_EQ(dq::BoxplusTable(dq::kQuant5).corr_thresholds(), (std::vector<dq::QLLR>{3}));
+TEST(LaneArith, CombineAndFinalizeMatchFixedArithOnEveryOperandPair) {
+    // Every quantizer of 2..10 bits and every rule, on both lane widths of
+    // the built backend: the sign copies, the lookup (16-bit lanes), the
+    // gather (32-bit lanes) and the unsaturated Exact sum must reproduce
+    // FixedArith's saturating boxplus on every operand pair.
+    int specs = 0;
+    for (int total = 2; total <= 10; ++total) {
+        for (int frac = 0; frac < total; ++frac) {
+            const dq::QuantSpec spec{total, frac};
+            const dq::BoxplusTable table(spec);
+            ASSERT_LE(table.corr(0), spec.max_raw()) << "q" << total << "." << frac;
+            for (const dd::CheckRule rule : kAllRules) {
+                const std::string ctx = "q" + std::to_string(total) + "." +
+                                        std::to_string(frac) + " " + dd::to_string(rule);
+                expect_lanes_match_fixed_arith<sv::ActiveVec>(rule, spec, table, ctx);
+                if (rule != dd::CheckRule::Exact || sv::lookup_covers(table))
+                    expect_lanes_match_fixed_arith<sv::ActiveVec16>(rule, spec, table, ctx);
+                if (::testing::Test::HasFailure()) return;
+            }
+            ++specs;
+        }
+    }
+    EXPECT_EQ(specs, 54);
+}
+
+TEST(LaneWidth, LookupReproducesTheCorrectionTable) {
+    // The 16-bit lanes' Exact correction is two byte-shuffle lookups of
+    // corr(0..15), indices clamped to 15: for every Exact quantizer the lanes
+    // take, lookup_diff(x, y) must equal corr(x) − corr(y) at every pair of
+    // indices a combine can form, |a ± b| in 0..2·max_raw, in every lane.
+    // The quantizers that narrow are exactly those the lookup holds.
+    using V = sv::ActiveVec16;
+    using Lane = V::lane_t;
+    constexpr int W = V::width;
+    EXPECT_TRUE(sv::lookup_covers(dq::BoxplusTable(dq::kQuant6)));
+    EXPECT_TRUE(sv::lookup_covers(dq::BoxplusTable(dq::kQuant5)));
     int narrowing = 0;
     for (int total = 3; total <= 10; ++total) {
         for (int frac = 0; frac <= 4 && frac < total; ++frac) {
             const dq::QuantSpec spec{total, frac};
-            const dd::DecoderConfig cfg = config_of(dd::Schedule::ZigzagForward,
-                                                    dd::CheckRule::Exact);
-            if (lane_bits_of(toy_code(), cfg, spec) != 16) continue;
-            ++narrowing;
+            const std::string ctx = "q" + std::to_string(total) + "." + std::to_string(frac);
             const dq::BoxplusTable table(spec);
-            const std::vector<dq::QLLR> t = table.corr_thresholds();
-            EXPECT_EQ(static_cast<dq::QLLR>(t.size()), table.corr(0));
-            for (dq::QLLR x = 0; x <= 2 * spec.max_raw(); ++x) {
-                const auto below = std::count_if(t.begin(), t.end(),
-                                                 [x](dq::QLLR th) { return x < th; });
-                ASSERT_EQ(below, table.corr(x)) << "q" << total << "." << frac << " at " << x;
+            const bool narrows = lane_bits_of(toy_code(),
+                                              config_of(dd::Schedule::ZigzagForward,
+                                                        dd::CheckRule::Exact),
+                                              spec) == 16;
+            EXPECT_EQ(sv::lookup_covers(table), lookup_expected(spec)) << ctx;
+            EXPECT_EQ(narrows, lookup_expected(spec)) << ctx;
+            if (!narrows) continue;
+            ++narrowing;
+            std::uint8_t bytes[sv::kLookupEntries];
+            for (int i = 0; i < sv::kLookupEntries; ++i)
+                bytes[i] = static_cast<std::uint8_t>(table.corr(i));
+            const V::reg lut = V::lut16(bytes);
+            const int top = 2 * spec.max_raw();
+            Lane x[W], y[W], d[W];
+            for (int i = 0; i <= top; ++i) {
+                for (int j0 = 0; j0 <= top; j0 += W) {
+                    for (int l = 0; l < W; ++l) {
+                        x[l] = static_cast<Lane>(i);
+                        y[l] = static_cast<Lane>(std::min(j0 + l, top));
+                    }
+                    V::store(d, V::lookup_diff(lut, V::load(x), V::load(y)));
+                    for (int l = 0; l < W; ++l)
+                        ASSERT_EQ(d[l], table.corr(x[l]) - table.corr(y[l]))
+                            << ctx << " lane " << l << " at (" << x[l] << ", " << y[l] << ")";
+                }
             }
         }
     }
-    EXPECT_GE(narrowing, 2);  // kQuant6 and kQuant5 at least
+    EXPECT_EQ(narrowing, 25);  // frac 0..2 at 3..10 bits, and {4, 3}
 }
 
 TEST(LaneWidth, EveryShippedSpecRuns16BitLanes) {
@@ -568,15 +661,12 @@ TEST(LaneWidth, EveryShippedSpecRuns16BitLanes) {
     }
 }
 
-TEST(LaneWidth, EveryStaircaseLengthStaysMessageExact) {
-    // 16-bit Exact lanes loop over a staircase of any length up to
-    // kMaxCorrSteps. Since
-    // corr(0) = round(2^frac_bits · ln 2), the quantizers that narrow take
-    // lengths 1 (frac 0 and 1), 3 (frac 2) and 6 (frac 3); no quantizer
-    // has a staircase of length 2, 4, 5, 7 or 8. Every narrowing Exact
-    // quantizer of 3..10 bits, so every length that occurs, on every
-    // schedule.
-    std::set<std::size_t> lengths;
+TEST(LaneWidth, EveryNarrowingExactQuantizerStaysMessageExact) {
+    // Every Exact quantizer of 3..10 bits that takes 16-bit lanes (the
+    // lookup holds its table), on every schedule, message-exact with the
+    // scalar reference: corr(0) runs 1 (frac 0 and 1), 3 (frac 2) and 6
+    // ({4, 3}), so every table shape the lookup meets is here.
+    std::set<dq::QLLR> heads;
     for (int total = 3; total <= 10; ++total) {
         for (int frac = 0; frac <= 4 && frac < total; ++frac) {
             const dq::QuantSpec spec{total, frac};
@@ -584,24 +674,24 @@ TEST(LaneWidth, EveryStaircaseLengthStaysMessageExact) {
                                                    dd::CheckRule::Exact),
                              spec) != 16)
                 continue;
-            const std::size_t steps = dq::BoxplusTable(spec).corr_thresholds().size();
-            ASSERT_LE(steps, static_cast<std::size_t>(dd::simd::kMaxCorrSteps));
-            lengths.insert(steps);
+            const dq::QLLR head = dq::BoxplusTable(spec).corr(0);
+            heads.insert(head);
             for (const dd::Schedule schedule : kAllSchedules) {
                 expect_frame_per_lane_matches_scalar(
-                    toy_code(), config_of(schedule, dd::CheckRule::Exact), spec, 0x5CA1 + steps,
+                    toy_code(), config_of(schedule, dd::CheckRule::Exact), spec,
+                    0x5CA1 + static_cast<std::uint64_t>(head),
                     "q" + std::to_string(total) + "." + std::to_string(frac) + "/" +
                         dd::to_string(schedule));
                 if (::testing::Test::HasFatalFailure()) return;
             }
         }
     }
-    EXPECT_EQ(lengths, (std::set<std::size_t>{1, 3, 6}));
+    EXPECT_EQ(heads, (std::set<dq::QLLR>{1, 3, 6}));
 }
 
 TEST(LaneWidth, WideVnSumTakes32BitLanesAndStaysBitExact) {
     // {14, 4}: the certified vn sum, max_raw·(1 + 13) = 114,674, exceeds
-    // 32767; min-sum, so the staircase plays no part.
+    // 32767; min-sum, so the correction table plays no part.
     const dq::QuantSpec wide{14, 4};
     const auto cert = dd::engine_range_certificate(dd::EngineSpec{
         dd::Arithmetic::Fixed, config_of(dd::Schedule::ZigzagForward, dd::CheckRule::MinSum),
@@ -614,16 +704,22 @@ TEST(LaneWidth, WideVnSumTakes32BitLanesAndStaysBitExact) {
     expect_width_and_exactness(toy_code(), dd::CheckRule::MinSum, wide, 32);
 }
 
-TEST(LaneWidth, LongStaircaseTakes32BitLanesAndStaysBitExact) {
-    // {8, 4}: corr(0) = round(16 ln 2) = 11 steps, past kMaxCorrSteps. The
-    // same quantizer under min-sum (no correction) narrows, so the
-    // staircase is the only reason.
-    const dq::QuantSpec fine{8, 4};
-    EXPECT_EQ(dq::BoxplusTable(fine).corr(0), 11);
-    EXPECT_EQ(lane_bits_of(toy_code(),
-                           config_of(dd::Schedule::ZigzagForward, dd::CheckRule::MinSum), fine),
-              16);
-    expect_width_and_exactness(toy_code(), dd::CheckRule::Exact, fine, 32);
+TEST(LaneWidth, TableBeyondTheLookupTakes32BitLanesAndStaysBitExact) {
+    // {8, 3}: corr(15) = round(8 log1p(e^-1.875)) = 1, so a 16-entry lookup
+    // clamped at 15 would be wrong, and Exact takes 32-bit lanes and their
+    // gather; {8, 4} (corr(15) = 5) likewise. The same quantizers under
+    // min-sum (no correction) narrow, so the table is the only reason.
+    for (const dq::QuantSpec fine : {dq::QuantSpec{8, 3}, dq::QuantSpec{8, 4}}) {
+        const dq::BoxplusTable table(fine);
+        EXPECT_GT(table.corr(sv::kLookupEntries - 1), 0) << fine.frac_bits;
+        EXPECT_FALSE(sv::lookup_covers(table)) << fine.frac_bits;
+        EXPECT_EQ(lane_bits_of(toy_code(),
+                               config_of(dd::Schedule::ZigzagForward, dd::CheckRule::MinSum),
+                               fine),
+                  16);
+        expect_width_and_exactness(toy_code(), dd::CheckRule::Exact, fine, 32);
+        if (::testing::Test::HasFatalFailure()) return;
+    }
 }
 
 TEST(LaneWidth, CodeBeyondTheEnvelopeTakes32BitLanesAndStaysBitExact) {
