@@ -12,7 +12,9 @@
 //
 // The JSON gate consumed by CI (.github/workflows/ci.yml) checks
 // ordering_violations == 0, decode_failures == 0 and mean_batch_fill > 0.
-#include <algorithm>
+// It reports no latency: the service's latency histogram has log2 buckets,
+// so its percentiles read bucket edges (2^20, 2^21 µs), not percentiles.
+// perfbench's service workloads measure exact submit→callback percentiles.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -87,9 +89,8 @@ std::vector<ClassPlan> smoke_plan(int iters) {
 struct RunOutcome {
     service::TrafficReport traffic;
     service::ServiceMetrics metrics;
-    double p50_min_s = 0.0, p50_max_s = 0.0;  // spread of per-stream medians
-    std::vector<int> preferred;               // per class
-    std::vector<std::size_t> frame_len;       // per class
+    std::vector<int> preferred;          // per class
+    std::vector<std::size_t> frame_len;  // per class
 };
 
 RunOutcome run_once(const std::vector<ClassPlan>& plan,
@@ -106,16 +107,6 @@ RunOutcome run_once(const std::vector<ClassPlan>& plan,
     }
     out.traffic = service::run_traffic(svc, classes, opt);
     out.metrics = svc.metrics();
-    // Spread of per-stream p50 latencies (sampled from the first 64 streams:
-    // stream ids are assigned densely from 0 by open_stream).
-    const std::size_t sample = std::min<std::size_t>(opt.streams, 64);
-    for (std::size_t s = 0; s < sample; ++s) {
-        const auto ls = svc.stream_latency(static_cast<service::StreamId>(s));
-        if (ls.frames == 0) continue;
-        if (out.p50_max_s == 0.0) out.p50_min_s = out.p50_max_s = ls.p50_s;
-        out.p50_min_s = std::min(out.p50_min_s, ls.p50_s);
-        out.p50_max_s = std::max(out.p50_max_s, ls.p50_s);
-    }
     svc.stop();
     return out;
 }
@@ -147,11 +138,6 @@ void print_outcome(const std::vector<ClassPlan>& plan, const RunOutcome& o) {
                     util::TextTable::num((long long)m.full_batches) + " / " +
                     util::TextTable::num((long long)m.linger_batches) + ")"});
     st.add_row({"mean batch fill", util::TextTable::num(m.mean_batch_fill(), 3)});
-    st.add_row({"latency p50/p90/p99 (ms)", util::TextTable::num(m.latency.percentile(0.5) * 1e3, 2) +
-                                                " / " +
-                                                util::TextTable::num(m.latency.percentile(0.9) * 1e3, 2) +
-                                                " / " +
-                                                util::TextTable::num(m.latency.percentile(0.99) * 1e3, 2)});
     st.add_row({"mean iterations", util::TextTable::num(m.convergence.mean_iterations(), 2)});
     st.add_row({"converged fraction", util::TextTable::num(m.convergence.convergence_rate(), 3)});
     st.print(std::cout);
@@ -273,11 +259,6 @@ int main(int argc, char** argv) {
             for (std::size_t i = 0; i < m.batch_fill_deciles.size(); ++i)
                 os << (i ? ", " : "") << m.batch_fill_deciles[i];
             os << "],\n"
-               << "  \"latency_p50_s\": " << m.latency.percentile(0.5) << ",\n"
-               << "  \"latency_p90_s\": " << m.latency.percentile(0.9) << ",\n"
-               << "  \"latency_p99_s\": " << m.latency.percentile(0.99) << ",\n"
-               << "  \"stream_p50_spread_s\": [" << main_run.p50_min_s << ", "
-               << main_run.p50_max_s << "],\n"
                << "  \"mean_iterations\": " << m.convergence.mean_iterations() << ",\n"
                << "  \"converged_fraction\": " << m.convergence.convergence_rate() << ",\n"
                << "  \"scaling\": [\n";

@@ -21,10 +21,13 @@
 // iteration count and converged flag must match bit for bit; any divergence
 // makes the bench exit nonzero).
 //
-// Every timed cell, and each early-termination stream, is the best of 5
-// passes over the same frames: the first pass also warms the caches and
-// sizes the result storage, and the fastest pass records decoder speed
-// rather than host noise.
+// Timing: the engines of one row (scalar, group, batch; in the second
+// section the scalar early-stopping reference and the two streams) are
+// timed in 5 interleaved passes over the same frames. Each pass runs every
+// engine once, starting one engine later than the pass before, and each
+// engine keeps its fastest pass. So the `group x` and `batch x` ratios
+// compare engines under one host state rather than minutes apart; the
+// first pass also warms the caches and sizes the result storage.
 //
 // Flags:
 //   --rate=1/2        code rate under test (default 1/2)
@@ -37,8 +40,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,18 +96,23 @@ struct Row {
     bool bit_exact = false;
 };
 
-/// Passes per timed cell and per early-termination stream.
+/// Interleaved timing passes per row.
 constexpr int kTimedPasses = 5;
 
-/// Wall time of the fastest of kTimedPasses calls of `pass`, in seconds.
-template <class Pass>
-double best_pass_seconds(Pass&& pass) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < kTimedPasses; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        pass();
-        best = std::min(best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                                  .count());
+/// Fastest wall time in seconds of each of `runs` over kTimedPasses
+/// interleaved passes: pass p runs every callable once, starting at
+/// runs[p mod size], so no engine always runs first or last.
+std::vector<double> best_interleaved_seconds(const std::vector<std::function<void()>>& runs) {
+    std::vector<double> best(runs.size(), std::numeric_limits<double>::infinity());
+    for (std::size_t p = 0; p < static_cast<std::size_t>(kTimedPasses); ++p) {
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const std::size_t r = (p + i) % runs.size();
+            const auto t0 = std::chrono::steady_clock::now();
+            runs[r]();
+            best[r] = std::min(
+                best[r],
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+        }
     }
     return best;
 }
@@ -112,31 +122,31 @@ double mbps(int n_bits, std::size_t frames, double s) {
     return s > 0.0 ? static_cast<double>(n_bits) * static_cast<double>(frames) / s / 1e6 : 0.0;
 }
 
-/// Times `frames` runs of `iters` full iterations; returns coded Mbit/s.
+/// One pass of a single-frame engine: `iters` full iterations per frame.
 template <class Engine>
-double time_engine(Engine& eng, const std::vector<std::vector<quant::QLLR>>& channels,
-                   int iters, int n_bits) {
-    const double s = best_pass_seconds([&] {
+std::function<void()> frames_pass(Engine& eng,
+                                  const std::vector<std::vector<quant::QLLR>>& channels,
+                                  int iters) {
+    return [&eng, &channels, iters] {
         for (const auto& ch : channels) eng.run_iterations(ch, iters);
-    });
-    return mbps(n_bits, channels.size(), s);
+    };
 }
 
-/// Times the frame-per-lane engine over ceil(frames / lanes) batch blocks of
-/// the frame-major concatenated channel buffer; returns coded Mbit/s over
-/// all frames (partial last blocks decode at reduced lane occupancy, which
-/// is exactly what a real batched workload pays).
-double time_batch_engine(core::SimdBatchFixedDecoder& eng, const std::vector<quant::QLLR>& flat,
-                         std::size_t frames, std::size_t n, int iters, int n_bits) {
-    const auto lanes = static_cast<std::size_t>(eng.lanes());
-    const double s = best_pass_seconds([&] {
+/// One pass of the frame-per-lane engine over ceil(frames / lanes) batch
+/// blocks of the frame-major concatenated channel buffer (partial last
+/// blocks decode at reduced lane occupancy, which is exactly what a real
+/// batched workload pays).
+std::function<void()> batch_pass(core::SimdBatchFixedDecoder& eng,
+                                 const std::vector<quant::QLLR>& flat, std::size_t frames,
+                                 std::size_t n, int iters) {
+    return [&eng, &flat, frames, n, iters] {
+        const auto lanes = static_cast<std::size_t>(eng.lanes());
         for (std::size_t f0 = 0; f0 < frames; f0 += lanes) {
             const std::size_t cnt = std::min(lanes, frames - f0);
             eng.run_iterations(std::span<const quant::QLLR>(flat.data() + f0 * n, cnt * n), cnt,
                                iters);
         }
-    });
-    return mbps(n_bits, frames, s);
+    };
 }
 
 /// Encoded random codewords through an AWGN channel at `ebn0_db`, quantized
@@ -175,24 +185,23 @@ struct EsRow {
     core::ConvergenceStats stats;
 };
 
-/// Times decode_stream over `channels` (frame-major vectors), best of
-/// kTimedPasses; returns coded Mbit/s. Results land in `out` in input order.
-double time_stream(core::SimdBatchFixedDecoder& eng,
-                   const std::vector<std::vector<quant::QLLR>>& channels,
-                   std::vector<core::DecodeResult>& out, int n_bits) {
+/// One decode_stream pass over `channels` (frame-major vectors); results
+/// land in `out` in input order.
+std::function<void()> stream_pass(core::SimdBatchFixedDecoder& eng,
+                                  const std::vector<std::vector<quant::QLLR>>& channels,
+                                  std::vector<core::DecodeResult>& out) {
     struct Src {
         const std::vector<std::vector<quant::QLLR>>* ch;
-    } src{&channels};
-    const double s = best_pass_seconds([&] {
+    };
+    return [&eng, &out, src = Src{&channels}]() mutable {
         eng.decode_stream(
-            channels.size(),
+            src.ch->size(),
             [](void* ctx, std::size_t f, quant::QLLR* dst) {
                 const auto& v = (*static_cast<const Src*>(ctx)->ch)[f];
                 std::copy(v.begin(), v.end(), dst);
             },
             &src, out.data());
-    });
-    return mbps(n_bits, channels.size(), s);
+    };
 }
 
 /// Frame-by-frame equivalence of two decode passes (the early-termination
@@ -279,29 +288,34 @@ int main(int argc, char** argv) try {
         // Group-parallel support is derived by the dataflow IR: only the
         // lockstep-legal schedules (two-phase, zigzag-segmented) have one.
         row.has_group = analysis::ir::classify_schedule(schedule).group_parallel_legal;
-        row.scalar_mbps = time_engine(scalar, channels, iters, code.n());
-
-        row.bit_exact = true;
-        if (row.has_group) {
-            core::SimdFixedDecoder simd(code, cfg, quant::kQuant6);
-            row.simd_mbps = time_engine(simd, channels, iters, code.n());
-            row.speedup = row.scalar_mbps > 0.0 ? row.simd_mbps / row.scalar_mbps : 0.0;
-            // Both engines last decoded channels.back(); compare final
-            // state, then re-check on the first vector for good measure.
-            row.bit_exact = messages_equal(scalar, simd);
-            if (row.bit_exact) {
-                scalar.run_iterations(channels[0], iters);
-                simd.run_iterations(channels[0], iters);
-                row.bit_exact = messages_equal(scalar, simd);
-            }
-        }
-
+        std::optional<core::SimdFixedDecoder> simd;
+        if (row.has_group) simd.emplace(code, cfg, quant::kQuant6);
         core::SimdBatchFixedDecoder batch(code, cfg, quant::kQuant6);
         row.batch_lanes = batch.lanes();
         row.batch_lane_bits = batch.lane_bits();
-        row.batch_mbps = time_batch_engine(batch, flat, static_cast<std::size_t>(frames), n,
-                                           iters, code.n());
+
+        std::vector<std::function<void()>> runs{
+            frames_pass(scalar, channels, iters),
+            batch_pass(batch, flat, static_cast<std::size_t>(frames), n, iters)};
+        if (simd) runs.push_back(frames_pass(*simd, channels, iters));
+        const std::vector<double> s = best_interleaved_seconds(runs);
+        row.scalar_mbps = mbps(code.n(), channels.size(), s[0]);
+        row.batch_mbps = mbps(code.n(), channels.size(), s[1]);
         row.batch_speedup = row.scalar_mbps > 0.0 ? row.batch_mbps / row.scalar_mbps : 0.0;
+
+        row.bit_exact = true;
+        if (simd) {
+            row.simd_mbps = mbps(code.n(), channels.size(), s[2]);
+            row.speedup = row.scalar_mbps > 0.0 ? row.simd_mbps / row.scalar_mbps : 0.0;
+            // Both engines last decoded channels.back(); compare final
+            // state, then re-check on the first vector for good measure.
+            row.bit_exact = messages_equal(scalar, *simd);
+            if (row.bit_exact) {
+                scalar.run_iterations(channels[0], iters);
+                simd->run_iterations(channels[0], iters);
+                row.bit_exact = messages_equal(scalar, *simd);
+            }
+        }
         row.bit_exact =
             row.bit_exact && batch_lanes_exact(scalar, batch, flat, channels, n, iters);
 
@@ -354,20 +368,22 @@ int main(int argc, char** argv) try {
             code, es_cfg, core::FixedArith(es_cfg.rule, quant::kQuant6, &table,
                                            es_cfg.normalization, es_cfg.offset));
         std::vector<core::DecodeResult> ref(es_channels.size());
-        row.scalar_es_mbps = mbps(code.n(), es_channels.size(), best_pass_seconds([&] {
-                                      for (std::size_t f = 0; f < es_channels.size(); ++f)
-                                          scalar.decode_into(es_channels[f], ref[f]);
-                                  }));
-
         // Frame-per-lane stream, full budget (the pre-compaction baseline).
         core::SimdBatchFixedDecoder fixed_eng(code, fixed_cfg, quant::kQuant6);
         std::vector<core::DecodeResult> scratch(es_channels.size());
-        row.fixed_mbps = time_stream(fixed_eng, es_channels, scratch, code.n());
-
         // Frame-per-lane stream with per-lane early termination + compaction.
         core::SimdBatchFixedDecoder es_eng(code, es_cfg, quant::kQuant6);
         std::vector<core::DecodeResult> es_res(es_channels.size());
-        row.es_mbps = time_stream(es_eng, es_channels, es_res, code.n());
+        const std::vector<double> s = best_interleaved_seconds(
+            {[&] {
+                 for (std::size_t f = 0; f < es_channels.size(); ++f)
+                     scalar.decode_into(es_channels[f], ref[f]);
+             },
+             stream_pass(fixed_eng, es_channels, scratch),
+             stream_pass(es_eng, es_channels, es_res)});
+        row.scalar_es_mbps = mbps(code.n(), es_channels.size(), s[0]);
+        row.fixed_mbps = mbps(code.n(), es_channels.size(), s[1]);
+        row.es_mbps = mbps(code.n(), es_channels.size(), s[2]);
         row.es_multiplier = row.fixed_mbps > 0.0 ? row.es_mbps / row.fixed_mbps : 0.0;
 
         row.es_exact = results_equal(ref, es_res);

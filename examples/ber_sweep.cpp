@@ -22,6 +22,7 @@
 // bit-identical for every --threads value (see comm/parallel.hpp).
 #include <iostream>
 #include <memory>
+#include <sstream>
 
 #include "util/csv.hpp"
 

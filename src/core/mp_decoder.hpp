@@ -22,6 +22,18 @@
 // scalar FixedArith/FloatArith instantiations stay unfused: they are the
 // references, and their v2c_messages() feed the message-level tests.
 //
+// Node ranges: the two-phase and zigzag phases also run over a range of
+// nodes (variable_nodes, parity_nodes, and check_nodes between
+// begin_check_phase and end_check_phase), and decode_into/run_iterations
+// take the iteration as a parameter. The group-parallel SIMD decoder
+// (core/simd/simd_decoder.cpp) is built that way: its iteration runs vector
+// blocks of independent nodes on the arrays of state_view() and hands every
+// other node to these loops, while the decode loop, channel load,
+// posteriors, hardening and traces stay this class's. A TU built with
+// vector flags instantiates this template only over an arithmetic type of
+// its own, so that no vector-flagged copy of a target-generic
+// instantiation exists for the linker to pick.
+//
 // Internal header: include via core/decoder.hpp unless you are the
 // architecture model or a test that needs the template directly.
 #pragma once
@@ -114,11 +126,19 @@ public:
     /// calls perform no heap allocation (unless an observer is installed —
     /// tracing materializes a syndrome vector per iteration).
     void decode_into(std::span<const Value> ch, DecodeResult& out) {
+        decode_into(ch, out, [this] { step(); });
+    }
+
+    /// decode_into with the caller's iteration in place of step(): `iterate`
+    /// must leave the state exactly as step() would (the group-parallel SIMD
+    /// decoder's vector-block iteration does).
+    template <class Iterate>
+    void decode_into(std::span<const Value> ch, DecodeResult& out, Iterate&& iterate) {
         begin(ch);
         int it = 0;
         bool converged = false;
         for (; it < cfg_.max_iterations && !converged; ) {
-            step();
+            iterate();
             ++it;
             const bool need_harden =
                 cfg_.early_stop || it == cfg_.max_iterations || static_cast<bool>(observer_);
@@ -172,11 +192,11 @@ public:
     /// the two-phase schedule's O(m) parity-node pass runs before the check
     /// phase.
     void step() {
-        if constexpr (kFused) {
-            if (cfg_.schedule == Schedule::TwoPhase) parity_variable_phase();
-        } else if (cfg_.schedule != Schedule::Layered) {
-            variable_phase();
+        const auto& cp = code_->params();
+        if constexpr (!kFused) {
+            if (cfg_.schedule != Schedule::Layered) variable_nodes(0, cp.k);
         }
+        if (cfg_.schedule == Schedule::TwoPhase) parity_nodes(0, cp.m());
         check_phase();
     }
 
@@ -206,15 +226,20 @@ public:
     /// Runs exactly `iters` iterations without early stopping and without
     /// hardening (for message-level comparisons).
     void run_iterations(std::span<const Value> ch, int iters) {
+        run_iterations(ch, iters, [this] { step(); });
+    }
+    template <class Iterate>
+    void run_iterations(std::span<const Value> ch, int iters, Iterate&& iterate) {
         begin(ch);
-        for (int it = 0; it < iters; ++it) step();
+        for (int it = 0; it < iters; ++it) iterate();
     }
 
-    // --- lane-compaction support (frame-per-lane batch engine only) ---
-
-    /// Mutable views over the cross-iteration state of a fused decoder. The
-    /// frame-per-lane batch engine uses this to retire one SIMD lane in
-    /// place and splice a fresh frame into it between step() calls (lane
+    /// Mutable views over the decoder state; arrays an instantiation or
+    /// schedule does not keep are empty (v2c when fused, pn_a/pn_c outside
+    /// two-phase, boundary outside segmented).
+    ///
+    /// The frame-per-lane batch engine (fused) retires one SIMD lane in
+    /// place and splices a fresh frame into it between step() calls (lane
     /// compaction): zeroing lane l of c2v/down/up and rewriting lane l of
     /// ch_in/ch_p and of the posterior totals with the new channel
     /// re-creates exactly the per-lane state begin() builds for a fresh
@@ -224,15 +249,100 @@ public:
     /// (pn_a_/pn_c_, fwd_d_, the segment-boundary snapshots, the posterior
     /// accumulation buffer) are recomputed from this state each iteration
     /// before being read, so they need no reset.
+    ///
+    /// The group-parallel SIMD decoder (unfused) runs its vector blocks on
+    /// these arrays between the node-range calls below.
     struct StateView {
-        std::span<Value> c2v, down, up;
+        std::span<Value> c2v, v2c, down, up;
+        std::span<Value> pn_a, pn_c, boundary;
         std::span<Value> ch_in, ch_p;
         std::span<Wide> post_in, post_p;
     };
-    StateView state_view()
-        requires kFused
+    StateView state_view() {
+        return {c2v_, v2c_, down_, up_, pn_a_, pn_c_, boundary_snapshot_,
+                ch_in_, ch_p_, post_in_, post_p_};
+    }
+
+    // --- one iteration over node ranges: step() is variable_nodes over all
+    // --- K (unfused), parity_nodes over all m (two-phase), then
+    // --- begin_check_phase, check_nodes over all m and end_check_phase
+    // --- (Layered and MAP sweep their check phase whole).
+
+    /// Information-node update (Eq. 4) of nodes [v_begin, v_end): extrinsic
+    /// sum with wide accumulation and a single saturation per produced
+    /// message — exactly the serial functional-unit datapath.
+    void variable_nodes(int v_begin, int v_end)
+        requires(!kFused)
     {
-        return {c2v_, down_, up_, ch_in_, ch_p_, post_in_, post_p_};
+        for (int v = v_begin; v < v_end; ++v) {
+            const int deg = code_->info_degree(v);
+            const long long* edges = code_->info_edges(v);
+            Wide total = arith_.to_wide(ch_in_[static_cast<std::size_t>(v)]);
+            for (int d = 0; d < deg; ++d)
+                total += arith_.to_wide(c2v_[static_cast<std::size_t>(edges[d])]);
+            for (int d = 0; d < deg; ++d) {
+                const auto e = static_cast<std::size_t>(edges[d]);
+                v2c_[e] = arith_.narrow(total - arith_.to_wide(c2v_[e]));
+            }
+        }
+    }
+
+    /// Two-phase parity nodes [j_begin, j_end), updated like any degree-2
+    /// variable node.
+    void parity_nodes(int j_begin, int j_end) {
+        const int m = code_->params().m();
+        for (int j = j_begin; j < j_end; ++j) {
+            const Wide chp = arith_.to_wide(ch_p_[static_cast<std::size_t>(j)]);
+            const Wide up = j < m - 1 ? arith_.to_wide(up_[static_cast<std::size_t>(j)])
+                                      : Wide(arith_.zero());
+            pn_a_[static_cast<std::size_t>(j)] = arith_.narrow(chp + up);
+            if (j < m - 1)
+                pn_c_[static_cast<std::size_t>(j)] =
+                    arith_.narrow(chp + arith_.to_wide(down_[static_cast<std::size_t>(j)]));
+        }
+    }
+
+    /// Opens a two-phase or zigzag check phase: seeds the information
+    /// posterior with the channel and, segmented, snapshots the segment
+    /// boundaries (in the hardware, FU f starts its local chain at CN f·q
+    /// with last iteration's forward value) before the sweep overwrites
+    /// down_.
+    void begin_check_phase() {
+        const auto& cp = code_->params();
+        std::vector<Wide>& acc = posterior_acc();
+        for (int v = 0; v < cp.k; ++v)
+            acc[static_cast<std::size_t>(v)] = arith_.to_wide(ch_in_[static_cast<std::size_t>(v)]);
+        if (cfg_.schedule == Schedule::ZigzagSegmented) {
+            for (int f = 1; f < cp.parallelism; ++f)
+                boundary_snapshot_[static_cast<std::size_t>(f)] =
+                    down_[static_cast<std::size_t>(f * cp.q - 1)];
+        }
+    }
+
+    /// Check nodes [j_begin, j_end) of the two-phase or zigzag (forward or
+    /// segmented) sweep; ranges of one phase are run in ascending order.
+    void check_nodes(int j_begin, int j_end) {
+        switch (cfg_.schedule) {
+            case Schedule::TwoPhase: two_phase_nodes(j_begin, j_end); break;
+            case Schedule::ZigzagForward: zigzag_nodes(j_begin, j_end, /*segmented=*/false); break;
+            case Schedule::ZigzagSegmented: zigzag_nodes(j_begin, j_end, /*segmented=*/true); break;
+            case Schedule::ZigzagMap:
+            case Schedule::Layered: DVBS2_ASSERT(!"check_nodes: no node ranges on this schedule");
+        }
+    }
+
+    /// Closes a check phase: the parity posteriors, and the fused decoder's
+    /// new information posterior.
+    void end_check_phase() {
+        const auto& cp = code_->params();
+        const int m = cp.m();
+        for (int j = 0; j < m; ++j) {
+            Wide t = arith_.to_wide(ch_p_[static_cast<std::size_t>(j)]) +
+                     arith_.to_wide(down_[static_cast<std::size_t>(j)]);
+            if (j < m - 1) t += arith_.to_wide(up_[static_cast<std::size_t>(j)]);
+            post_p_[static_cast<std::size_t>(j)] = t;
+        }
+        if constexpr (kFused) post_in_.swap(post_acc_);
     }
 
 private:
@@ -251,53 +361,17 @@ private:
         std::fill(up_.begin(), up_.end(), z);
     }
 
-    /// Information-node update (Eq. 4): extrinsic sum with wide accumulation
-    /// and a single saturation per produced message — exactly the serial
-    /// functional-unit datapath.
-    void variable_phase() {
-        const auto& cp = code_->params();
-        for (int v = 0; v < cp.k; ++v) {
-            const int deg = code_->info_degree(v);
-            const long long* edges = code_->info_edges(v);
-            Wide total = arith_.to_wide(ch_in_[static_cast<std::size_t>(v)]);
-            for (int d = 0; d < deg; ++d)
-                total += arith_.to_wide(c2v_[static_cast<std::size_t>(edges[d])]);
-            for (int d = 0; d < deg; ++d) {
-                const auto e = static_cast<std::size_t>(edges[d]);
-                v2c_[e] = arith_.narrow(total - arith_.to_wide(c2v_[e]));
-            }
-        }
-        if (cfg_.schedule == Schedule::TwoPhase) parity_variable_phase();
-    }
-
-    /// Two-phase parity nodes, updated like any degree-2 variable node.
-    void parity_variable_phase() {
-        const int m = code_->params().m();
-        for (int j = 0; j < m; ++j) {
-            const Wide chp = arith_.to_wide(ch_p_[static_cast<std::size_t>(j)]);
-            const Wide up = j < m - 1 ? arith_.to_wide(up_[static_cast<std::size_t>(j)])
-                                      : Wide(arith_.zero());
-            pn_a_[static_cast<std::size_t>(j)] = arith_.narrow(chp + up);
-            if (j < m - 1)
-                pn_c_[static_cast<std::size_t>(j)] =
-                    arith_.narrow(chp + arith_.to_wide(down_[static_cast<std::size_t>(j)]));
-        }
-    }
-
     void check_phase() {
         if (cfg_.schedule == Schedule::Layered) {
             check_phase_layered();
             return;
         }
-        begin_posterior();
-        switch (cfg_.schedule) {
-            case Schedule::TwoPhase: check_phase_two_phase(); break;
-            case Schedule::ZigzagForward: check_phase_zigzag(/*segmented=*/false); break;
-            case Schedule::ZigzagSegmented: check_phase_zigzag(/*segmented=*/true); break;
-            case Schedule::ZigzagMap: check_phase_map(); break;
-            case Schedule::Layered: break;  // handled above
-        }
-        if constexpr (kFused) post_in_.swap(post_acc_);  // the new posterior
+        begin_check_phase();
+        if (cfg_.schedule == Schedule::ZigzagMap)
+            check_phase_map();
+        else
+            check_nodes(0, code_->params().m());
+        end_check_phase();
     }
 
     /// Prefix/suffix extrinsic computation over the canonical input sequence
@@ -352,14 +426,12 @@ private:
         }
     }
 
-    void check_phase_two_phase() {
-        const auto& cp = code_->params();
-        const int m = cp.m();
+    void two_phase_nodes(int j_begin, int j_end) {
         const int kc = code_->check_in_degree();
         Value ins[kMaxCheckDegree];
         Value outs[kMaxCheckDegree];
         int slots[kMaxCheckDegree];
-        for (int j = 0; j < m; ++j) {
+        for (int j = j_begin; j < j_end; ++j) {
             int d = gather_in_edges(j, ins, slots);
             const int left_pos = j > 0 ? d : -1;
             if (j > 0) ins[d++] = pn_c_[static_cast<std::size_t>(j - 1)];
@@ -370,10 +442,11 @@ private:
             down_[static_cast<std::size_t>(j)] = arith_.finalize(outs[right_pos]);
             if (j > 0) up_[static_cast<std::size_t>(j - 1)] = arith_.finalize(outs[left_pos]);
         }
-        finish_parity_posterior();
     }
 
-    void check_phase_zigzag(bool segmented) {
+    /// Segmented, CN f·q reads FU f's boundary snapshot (begin_check_phase)
+    /// in place of down_[f·q − 1].
+    void zigzag_nodes(int j_begin, int j_end, bool segmented) {
         const auto& cp = code_->params();
         const int m = cp.m();
         const int q = cp.q;
@@ -381,17 +454,7 @@ private:
         Value ins[kMaxCheckDegree];
         Value outs[kMaxCheckDegree];
         int slots[kMaxCheckDegree];
-
-        // Segment boundaries: in the hardware, FU f starts its local chain at
-        // CN f·q using last iteration's forward value; snapshot them before
-        // the sweep overwrites down_.
-        if (segmented) {
-            for (int f = 1; f < cp.parallelism; ++f)
-                boundary_snapshot_[static_cast<std::size_t>(f)] =
-                    down_[static_cast<std::size_t>(f * q - 1)];
-        }
-
-        for (int j = 0; j < m; ++j) {
+        for (int j = j_begin; j < j_end; ++j) {
             int d = gather_in_edges(j, ins, slots);
             int left_pos = -1;
             if (j > 0) {
@@ -413,7 +476,6 @@ private:
             down_[static_cast<std::size_t>(j)] = arith_.finalize(outs[right_pos]);
             if (j > 0) up_[static_cast<std::size_t>(j - 1)] = arith_.finalize(outs[left_pos]);
         }
-        finish_parity_posterior();
     }
 
     void check_phase_map() {
@@ -457,7 +519,6 @@ private:
             if (j > 0) up_[static_cast<std::size_t>(j - 1)] = arith_.finalize(outs[left_pos]);
         }
         for (int j = 0; j < m; ++j) down_[static_cast<std::size_t>(j)] = fwd_d_[static_cast<std::size_t>(j)];
-        finish_parity_posterior();
     }
 
     /// Mean |posterior| over all N variable nodes, in decoder units
@@ -532,24 +593,6 @@ private:
             post_p_[static_cast<std::size_t>(j)] +=
                 arith_.to_wide(fresh_d) - arith_.to_wide(down_[static_cast<std::size_t>(j)]);
             down_[static_cast<std::size_t>(j)] = fresh_d;
-        }
-    }
-
-    void begin_posterior() {
-        const auto& cp = code_->params();
-        std::vector<Wide>& acc = posterior_acc();
-        for (int v = 0; v < cp.k; ++v)
-            acc[static_cast<std::size_t>(v)] = arith_.to_wide(ch_in_[static_cast<std::size_t>(v)]);
-    }
-
-    void finish_parity_posterior() {
-        const auto& cp = code_->params();
-        const int m = cp.m();
-        for (int j = 0; j < m; ++j) {
-            Wide t = arith_.to_wide(ch_p_[static_cast<std::size_t>(j)]) +
-                     arith_.to_wide(down_[static_cast<std::size_t>(j)]);
-            if (j < m - 1) t += arith_.to_wide(up_[static_cast<std::size_t>(j)]);
-            post_p_[static_cast<std::size_t>(j)] = t;
         }
     }
 

@@ -22,8 +22,10 @@
 // engine (core/engine.hpp) runs them frame-per-lane, or on the scalar
 // reference for single frames under SimdLaneMode::Auto.
 //
-// This header is intrinsic-free; all target-specific code lives in
-// simd_decoder.cpp, the only TU built with SIMD compiler flags.
+// The decoder is MpDecoder (core/mp_decoder.hpp) run with an iteration of
+// vector blocks; simd_decoder.cpp, one of the three TUs of src/core/simd
+// built with the backend's compiler flags (src/core/CMakeLists.txt), holds
+// those blocks. This header is intrinsic-free.
 #pragma once
 
 #include <functional>

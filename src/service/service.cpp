@@ -371,6 +371,10 @@ DecodeService::DecodeService(ServiceConfig cfg) : cfg_(cfg) {
     DVBS2_REQUIRE(cfg.max_linger.count() >= 0,
                   "DecodeService: max_linger must be non-negative, got " +
                       std::to_string(cfg.max_linger.count()) + "us");
+    DVBS2_REQUIRE(cfg.workers <= util::kMaxThreads,
+                  "DecodeService: workers must be at most " +
+                      std::to_string(util::kMaxThreads) + " (0 = auto), got " +
+                      std::to_string(cfg.workers));
     cfg_.workers = util::resolve_thread_count(cfg.workers);
     impl_ = std::make_unique<Impl>(cfg_);
     impl_->workers_.reserve(cfg_.workers);

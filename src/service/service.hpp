@@ -73,7 +73,7 @@ enum class Admission {
 
 struct ServiceConfig {
     /// Decode shard workers; 0 = util::resolve_thread_count (DVBS2_THREADS
-    /// env var, else hardware concurrency).
+    /// env var, else hardware concurrency). At most util::kMaxThreads.
     unsigned workers = 0;
     /// Bound on frames pending in the queue (admission control kicks in
     /// beyond it). Total outstanding frames are bounded by

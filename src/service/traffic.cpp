@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "enc/encoder.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dvbs2::service {
 
@@ -52,6 +54,9 @@ TrafficReport run_traffic(DecodeService& svc, const std::vector<TrafficClass>& c
     DVBS2_REQUIRE(!classes.empty(), "run_traffic: need at least one traffic class");
     DVBS2_REQUIRE(opt.streams > 0, "run_traffic: need at least one stream");
     DVBS2_REQUIRE(opt.templates_per_class > 0, "run_traffic: need at least one template");
+    DVBS2_REQUIRE(opt.producers <= util::kMaxThreads,
+                  "run_traffic: producers must be at most " + std::to_string(util::kMaxThreads) +
+                      ", got " + std::to_string(opt.producers));
 
     // Pre-generate the channel realizations once; producers only memcpy.
     std::vector<std::vector<std::vector<double>>> templates;

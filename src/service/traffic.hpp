@@ -37,7 +37,8 @@ struct TrafficOptions {
     /// Frames each stream submits (in order).
     std::size_t frames_per_stream = 4;
     /// Producer threads; streams are partitioned round-robin across them, so
-    /// any producer count preserves each stream's submission order.
+    /// any producer count preserves each stream's submission order. 0 runs
+    /// one; at most util::kMaxThreads.
     unsigned producers = 2;
     /// Template LLR frames pre-generated per class (streams cycle them).
     std::size_t templates_per_class = 4;

@@ -6,21 +6,17 @@
 // release builds (NDEBUG).
 #pragma once
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 namespace dvbs2 {
 
 /// Builds the exception message for DVBS2_REQUIRE; kept out-of-line so the
-/// macro expansion stays small at call sites.
-[[noreturn]] inline void throw_requirement_failure(const char* expr, const char* file, int line,
-                                                   const std::string& what) {
-    std::ostringstream os;
-    os << "requirement failed: " << expr << " at " << file << ':' << line;
-    if (!what.empty()) os << " — " << what;
-    throw std::runtime_error(os.str());
-}
+/// macro expansion stays small at call sites. Defined in error.cpp, not
+/// inline: an inline copy emitted by a TU built with vector flags (the SIMD
+/// engines) could be the one the linker keeps for every caller.
+[[noreturn]] void throw_requirement_failure(const char* expr, const char* file, int line,
+                                            const std::string& what);
 
 }  // namespace dvbs2
 

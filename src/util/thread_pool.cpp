@@ -94,8 +94,9 @@ unsigned resolve_thread_count(unsigned requested) {
                               "\"); unset it or export DVBS2_THREADS= (empty) to fall back to "
                               "hardware concurrency");
             const long long v = parse_int(text, "DVBS2_THREADS");
-            DVBS2_REQUIRE(v > 0 && v <= 4096,
-                          "DVBS2_THREADS must be in [1, 4096], got \"" + text + "\"");
+            DVBS2_REQUIRE(v > 0 && v <= kMaxThreads,
+                          "DVBS2_THREADS must be in [1, " + std::to_string(kMaxThreads) +
+                              "], got \"" + text + "\"");
             return static_cast<unsigned>(v);
         }
     }

@@ -54,11 +54,18 @@ private:
     bool stopping_ = false;
 };
 
+/// Upper bound on every thread count the library starts from a setting:
+/// DVBS2_THREADS, service::ServiceConfig::workers and
+/// service::TrafficOptions::producers. A count past it is a malformed
+/// setting (a negative flag value cast to unsigned reads as 4294967295),
+/// rejected before any thread starts.
+inline constexpr unsigned kMaxThreads = 4096;
+
 /// Simulation worker-thread count: `requested` if nonzero, else the
 /// DVBS2_THREADS environment variable if set (non-empty), else
 /// std::thread::hardware_concurrency() (at least 1). Throws
 /// std::runtime_error when DVBS2_THREADS is set but is not a valid integer
-/// in [1, 4096] — a typo must not silently change the worker count. Only
+/// in [1, kMaxThreads] — a typo must not silently change the worker count. Only
 /// the truly empty string counts as unset; a whitespace-only value is
 /// malformed like any other non-numeric text and throws.
 unsigned resolve_thread_count(unsigned requested);

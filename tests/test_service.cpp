@@ -37,6 +37,7 @@
 #include "core/engine.hpp"
 #include "service/service.hpp"
 #include "service/traffic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dc = dvbs2::code;
 namespace dd = dvbs2::core;
@@ -232,6 +233,45 @@ TEST(Service, MetricsObeyConservationLawsAfterDrain) {
     EXPECT_LE(m.full_batches + m.linger_batches, m.batches);
     EXPECT_GT(m.mean_batch_fill(), 0.0);
     EXPECT_EQ(m.convergence.frames, m.decoded);
+}
+
+// A worker or producer count past util::kMaxThreads (a negative count cast
+// to unsigned reads as 4294967295) is rejected, naming the field, before
+// any thread starts; the bound itself is accepted.
+TEST(Service, ThreadCountsAreHeldToTheThreadBound) {
+    for (const unsigned workers : {dvbs2::util::kMaxThreads + 1, static_cast<unsigned>(-1)}) {
+        try {
+            ds::DecodeService svc(quick_config(workers, 8, ds::Admission::Block));
+            FAIL() << "workers=" << workers << " accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("workers must be at most 4096"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    ds::DecodeService svc(quick_config(1, 8, ds::Admission::Block));
+    const auto classes = add_mixed_classes(svc);
+    ds::TrafficOptions opt;
+    opt.streams = 2;
+    opt.frames_per_stream = 1;
+    for (const unsigned producers : {dvbs2::util::kMaxThreads + 1, static_cast<unsigned>(-1)}) {
+        opt.producers = producers;
+        try {
+            ds::run_traffic(svc, classes, opt);
+            FAIL() << "producers=" << producers << " accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("producers must be at most 4096"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    svc.drain();
+    EXPECT_EQ(svc.metrics().decoded, 0u);  // the rejected runs submitted nothing
+
+    opt.producers = 3;
+    const auto rep = ds::run_traffic(svc, classes, opt);
+    EXPECT_EQ(rep.delivered, 2u);
 }
 
 TEST(Service, SubmitValidatesSizeFinitenessAndIds) {

@@ -9,7 +9,12 @@
 //   dvbs2_serve --rate=1/2,3/4 --backend=simd --admission=block
 //
 // Exit code: 0 when every accepted frame was delivered in order with no
-// decode failures, 1 otherwise, 2 on usage errors.
+// decode failures, 1 otherwise, 2 on usage errors. A numeric flag outside
+// its range is a usage error naming the flag, caught before any thread
+// starts: --workers in [0, 4096] (0 = auto), --producers in [1, 4096],
+// --streams and --queue at least 1, --frames, --iters and --linger-us at
+// least 0.
+#include <climits>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -22,6 +27,7 @@
 #include "service/traffic.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace dvbs2;
 
@@ -33,6 +39,19 @@ std::vector<std::string> split_csv(const std::string& s) {
     std::string item;
     while (std::getline(ss, item, ',')) out.push_back(item);
     return out;
+}
+
+/// Integer flag --name, which must lie in [lo, hi].
+long long bounded_int(const util::CliArgs& args, const std::string& name, long long def,
+                      long long lo, long long hi) {
+    const long long v = args.get_int(name, def);
+    if (v < lo || v > hi)
+        throw std::runtime_error(
+            "--" + name + " must be " +
+            (hi == LLONG_MAX ? "at least " + std::to_string(lo)
+                             : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]") +
+            ", got " + std::to_string(v));
+    return v;
 }
 
 code::CodeRate parse_rate(const std::string& s) {
@@ -49,6 +68,14 @@ int main(int argc, char** argv) {
                            {"rate", "frame", "backend", "schedule", "quant", "iters", "ebn0",
                             "workers", "streams", "frames", "producers", "queue", "linger-us",
                             "admission", "toy"});
+        constexpr long long kMaxThreads = util::kMaxThreads;
+        const long long workers = bounded_int(args, "workers", 0, 0, kMaxThreads);  // 0 = auto
+        const long long producers = bounded_int(args, "producers", 2, 1, kMaxThreads);
+        const long long streams = bounded_int(args, "streams", 64, 1, LLONG_MAX);
+        const long long frames = bounded_int(args, "frames", 8, 0, LLONG_MAX);
+        const long long queue = bounded_int(args, "queue", 256, 1, LLONG_MAX);
+        const long long linger_us = bounded_int(args, "linger-us", 5000, 0, LLONG_MAX);
+        const long long iters = bounded_int(args, "iters", 10, 0, INT_MAX);
 
         // --- decode classes ---
         core::EngineSpec spec;
@@ -70,7 +97,7 @@ int main(int argc, char** argv) {
         if (qbits == 6) spec.quant = quant::kQuant6;
         else if (qbits == 5) spec.quant = quant::kQuant5;
         else throw std::runtime_error("unsupported --quant=" + std::to_string(qbits) + " (5|6)");
-        spec.config.max_iterations = static_cast<int>(args.get_int("iters", 10));
+        spec.config.max_iterations = static_cast<int>(iters);
 
         std::vector<code::CodeParams> params;
         std::vector<std::string> labels;
@@ -92,9 +119,9 @@ int main(int argc, char** argv) {
 
         // --- service ---
         service::ServiceConfig cfg;
-        cfg.workers = static_cast<unsigned>(args.get_int("workers", 0));  // 0 = auto
-        cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 256));
-        cfg.max_linger = std::chrono::microseconds(args.get_int("linger-us", 5000));
+        cfg.workers = static_cast<unsigned>(workers);
+        cfg.queue_capacity = static_cast<std::size_t>(queue);
+        cfg.max_linger = std::chrono::microseconds(linger_us);
         const std::string adm = args.get("admission", "block");
         if (adm == "block") cfg.admission = service::Admission::Block;
         else if (adm == "reject") cfg.admission = service::Admission::Reject;
@@ -110,9 +137,9 @@ int main(int argc, char** argv) {
         }
 
         service::TrafficOptions opt;
-        opt.streams = static_cast<std::size_t>(args.get_int("streams", 64));
-        opt.frames_per_stream = static_cast<std::size_t>(args.get_int("frames", 8));
-        opt.producers = static_cast<unsigned>(args.get_int("producers", 2));
+        opt.streams = static_cast<std::size_t>(streams);
+        opt.frames_per_stream = static_cast<std::size_t>(frames);
+        opt.producers = static_cast<unsigned>(producers);
         std::cout << "serving " << opt.streams << " streams x " << opt.frames_per_stream
                   << " frames from " << opt.producers << " producers on " << svc.config().workers
                   << " workers (hw_concurrency=" << std::thread::hardware_concurrency() << ")\n\n";
