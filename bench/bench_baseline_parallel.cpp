@@ -80,6 +80,8 @@ bool same_tallies(const comm::BerPoint& a, const comm::BerPoint& b) {
 
 int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv, {"threads", "mc-frames", "mc-iters"});
+    const auto mc_threads = util::resolve_thread_count(
+        static_cast<unsigned>(args.bounded_int("threads", 0, 0, util::kMaxThreads)));
     bench::banner("Baseline / Sec. 1", "fully parallel vs. partly parallel realization");
 
     // A 1024-bit-class regular code at small parallelism (the paper's [4]
@@ -122,8 +124,6 @@ int main(int argc, char** argv) try {
                 est_small.routing_mm2 > 0.3 * est_small.logic_mm2;
 
     // ---- software baseline: frame-parallel Monte-Carlo engine ----
-    const auto mc_threads =
-        util::resolve_thread_count(static_cast<unsigned>(args.get_int("threads", 0)));
     const auto mc_frames = static_cast<std::uint64_t>(args.get_int("mc-frames", 32));
     const code::Dvbs2Code short_code(code::standard_params(code::CodeRate::R1_2,
                                                            code::FrameSize::Short));

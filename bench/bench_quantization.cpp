@@ -33,8 +33,8 @@ int main(int argc, char** argv) try {
     const double step = args.get_double("step", 0.05);
     const double start = args.get_double("start", 0.8);
     const auto frames = static_cast<std::uint64_t>(args.get_int("frames", 24));
-    const auto threads =
-        util::resolve_thread_count(static_cast<unsigned>(args.get_int("threads", 0)));
+    const auto threads = util::resolve_thread_count(
+        static_cast<unsigned>(args.bounded_int("threads", 0, 0, util::kMaxThreads)));
     bench::banner("E7", "message-quantization loss (float vs 6-bit vs 5-bit)");
 
     const code::Dvbs2Code c(code::standard_params(rate));

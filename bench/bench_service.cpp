@@ -10,11 +10,20 @@
 //   bench_service                      # full soak (short frames, 6 classes)
 //   bench_service --smoke --json=...  # CI mode: toy codes, seconds not minutes
 //
+// Each class's row reports its decoded frames, batches and seconds inside
+// decode_batch (ServiceMetrics::classes), and its share of all classes'
+// decode seconds. A numeric flag outside its range is a usage error naming
+// the flag (exit 2), caught before any thread starts, with dvbs2_serve's
+// ranges: --workers in [0, 4096] (0 = auto), --producers in [1, 4096],
+// --streams and --queue at least 1, --frames and --linger-us at least 0,
+// --iters in [0, INT_MAX].
+//
 // The JSON gate consumed by CI (.github/workflows/ci.yml) checks
 // ordering_violations == 0, decode_failures == 0 and mean_batch_fill > 0.
 // It reports no latency: the service's latency histogram has log2 buckets,
 // so its percentiles read bucket edges (2^20, 2^21 µs), not percentiles.
 // perfbench's service workloads measure exact submit→callback percentiles.
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -27,6 +36,7 @@
 #include "service/traffic.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace dvbs2;
 
@@ -112,14 +122,21 @@ RunOutcome run_once(const std::vector<ClassPlan>& plan,
 }
 
 void print_outcome(const std::vector<ClassPlan>& plan, const RunOutcome& o) {
+    const auto& m = o.metrics;
     util::TextTable ct;
-    ct.set_header({"class", "N", "preferred_batch"});
-    for (std::size_t i = 0; i < plan.size(); ++i)
+    ct.set_header({"class", "N", "preferred_batch", "frames", "batches", "decode [s]",
+                   "ms/frame", "decode share"});
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        const auto& c = m.classes[i];
         ct.add_row({plan[i].label, util::TextTable::num((long long)o.frame_len[i]),
-                    util::TextTable::num((long long)o.preferred[i])});
+                    util::TextTable::num((long long)o.preferred[i]),
+                    util::TextTable::num((long long)c.frames),
+                    util::TextTable::num((long long)c.batches), util::TextTable::num(c.decode_s, 3),
+                    util::TextTable::num(c.frames ? c.decode_s * 1e3 / (double)c.frames : 0.0, 3),
+                    util::TextTable::num(100.0 * m.decode_share(i), 1) + "%"});
+    }
     ct.print(std::cout);
 
-    const auto& m = o.metrics;
     const auto& t = o.traffic;
     util::TextTable st;
     st.set_header({"metric", "value"});
@@ -151,27 +168,33 @@ int main(int argc, char** argv) {
                            {"smoke", "streams", "frames", "producers", "workers", "iters",
                             "ebn0", "queue", "linger-us", "json"});
         const bool smoke = args.has("smoke");
+        // Every count is range-checked before anything is sized or started.
+        constexpr long long kMaxThreads = util::kMaxThreads;
+        service::ServiceConfig cfg;
+        cfg.workers =
+            static_cast<unsigned>(args.bounded_int("workers", 4, 0, kMaxThreads));  // 0 = auto
+        cfg.queue_capacity =
+            static_cast<std::size_t>(args.bounded_int("queue", smoke ? 128 : 512, 1, LLONG_MAX));
+        cfg.max_linger = std::chrono::microseconds(
+            args.bounded_int("linger-us", smoke ? 2000 : 20000, 0, LLONG_MAX));
+        cfg.admission = service::Admission::Block;  // soak measures fill, not drops
+
+        service::TrafficOptions opt;
+        opt.streams =
+            static_cast<std::size_t>(args.bounded_int("streams", smoke ? 96 : 1008, 1, LLONG_MAX));
+        opt.frames_per_stream =
+            static_cast<std::size_t>(args.bounded_int("frames", smoke ? 8 : 3, 0, LLONG_MAX));
+        opt.producers = static_cast<unsigned>(args.bounded_int("producers", 4, 1, kMaxThreads));
+        const int iters = static_cast<int>(args.bounded_int("iters", 10, 0, INT_MAX));
+        const double ebn0 = args.get_double("ebn0", 3.5);
+
         bench::banner("service soak",
                       smoke ? "streaming decode service (smoke: toy codes)"
                             : "streaming decode service under multi-tenant load");
-
-        const int iters = static_cast<int>(args.get_int("iters", 10));
-        const double ebn0 = args.get_double("ebn0", 3.5);
         const auto plan = smoke ? smoke_plan(iters) : soak_plan(iters);
         std::vector<code::Dvbs2Code> codes;
         codes.reserve(plan.size());
         for (const auto& p : plan) codes.emplace_back(p.params);
-
-        service::ServiceConfig cfg;
-        cfg.workers = static_cast<unsigned>(args.get_int("workers", 4));
-        cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", smoke ? 128 : 512));
-        cfg.max_linger = std::chrono::microseconds(args.get_int("linger-us", smoke ? 2000 : 20000));
-        cfg.admission = service::Admission::Block;  // soak measures fill, not drops
-
-        service::TrafficOptions opt;
-        opt.streams = static_cast<std::size_t>(args.get_int("streams", smoke ? 96 : 1008));
-        opt.frames_per_stream = static_cast<std::size_t>(args.get_int("frames", smoke ? 8 : 3));
-        opt.producers = static_cast<unsigned>(args.get_int("producers", 4));
 
         std::cout << "hw_concurrency=" << std::thread::hardware_concurrency() << " workers="
                   << cfg.workers << " streams=" << opt.streams << " frames/stream="
@@ -238,7 +261,11 @@ int main(int argc, char** argv) {
                << "  \"classes\": [\n";
             for (std::size_t i = 0; i < plan.size(); ++i)
                 os << "    {\"label\": \"" << plan[i].label << "\", \"n\": " << main_run.frame_len[i]
-                   << ", \"preferred_batch\": " << main_run.preferred[i] << "}"
+                   << ", \"preferred_batch\": " << main_run.preferred[i]
+                   << ", \"frames\": " << m.classes[i].frames
+                   << ", \"batches\": " << m.classes[i].batches
+                   << ", \"decode_s\": " << m.classes[i].decode_s
+                   << ", \"decode_share\": " << m.decode_share(i) << "}"
                    << (i + 1 < plan.size() ? "," : "") << "\n";
             os << "  ],\n"
                << "  \"submitted\": " << t.submitted << ",\n"

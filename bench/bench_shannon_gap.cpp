@@ -33,8 +33,8 @@ int main(int argc, char** argv) try {
     const double target = args.get_double("target", 1e-4);
     const double step = args.get_double("step", 0.15);
     const auto frames = static_cast<std::uint64_t>(args.get_int("frames", 12));
-    const auto threads =
-        util::resolve_thread_count(static_cast<unsigned>(args.get_int("threads", 0)));
+    const auto threads = util::resolve_thread_count(
+        static_cast<unsigned>(args.bounded_int("threads", 0, 0, util::kMaxThreads)));
     bench::banner("E8", "gap to the Shannon limit at 30 iterations");
 
     std::vector<code::CodeRate> rates;

@@ -101,7 +101,8 @@ int main(int argc, char** argv) try {
     sim.limits.max_frames = static_cast<std::uint64_t>(args.get_int("frames", 50));
     sim.limits.target_frame_errors = 15;
     sim.limits.target_bit_errors = 500;
-    sim.threads = util::resolve_thread_count(static_cast<unsigned>(args.get_int("threads", 0)));
+    sim.threads = util::resolve_thread_count(
+        static_cast<unsigned>(args.bounded_int("threads", 0, 0, util::kMaxThreads)));
     if (args.has("progress")) {
         sim.progress = [](const comm::SimProgress& p) {
             if (!p.finished) return;

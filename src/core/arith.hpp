@@ -3,8 +3,12 @@
 // One schedule implementation (mp_decoder.hpp) is instantiated with either
 // floating-point or quantized fixed-point arithmetic. The fixed-point
 // back-end performs exactly the operations a hardware functional unit does
-// (integer saturating adds, correction-LUT boxplus), which is what makes the
+// (integer saturating adds, ROM boxplus), which is what makes the
 // algorithmic decoder and the cycle-driven architecture model bit-exact.
+// Its Exact combine reads quant::BoxplusTable's pair ROM (Eq. 5 stored for
+// every pair of stored words of specs up to 8 bits; one inline table read)
+// and falls back to the formula for wider words; the min-sum rules compute
+// sign·min directly, which measured faster than a table read.
 #pragma once
 
 #include <cmath>

@@ -28,15 +28,25 @@ BoxplusTable::BoxplusTable(const QuantSpec& spec) : spec_(spec) {
     validate_spec(spec);
     // |a±b| ranges up to 2·max_raw; beyond the point where the correction
     // rounds to zero the table is not needed.
-    const std::size_t len = static_cast<std::size_t>(2 * spec.max_raw() + 1);
+    const QLLR max = spec.max_raw();
+    const std::size_t len = static_cast<std::size_t>(2 * max + 1);
     table_.resize(len);
     for (std::size_t i = 0; i < len; ++i) {
         const double x = static_cast<double>(i) * spec.step();
         table_[i] = static_cast<QLLR>(std::nearbyint(std::log1p(std::exp(-x)) / spec.step()));
     }
+    if (spec.total_bits > 8) return;
+    // Every result is saturated to ±max_raw ≤ 127, so int8 holds it.
+    stride_ = 2 * max + 1;
+    center_ = max * stride_ + max;
+    pairs_.resize(static_cast<std::size_t>(stride_) * static_cast<std::size_t>(stride_));
+    for (QLLR a = -max; a <= max; ++a)
+        for (QLLR b = -max; b <= max; ++b)
+            pairs_[static_cast<std::size_t>(center_ + a * stride_ + b)] =
+                static_cast<std::int8_t>(formula(a, b));
 }
 
-QLLR BoxplusTable::boxplus(QLLR a, QLLR b) const noexcept {
+QLLR BoxplusTable::formula(QLLR a, QLLR b) const noexcept {
     const QLLR mag_a = a < 0 ? -a : a;
     const QLLR mag_b = b < 0 ? -b : b;
     const QLLR m = mag_a < mag_b ? mag_a : mag_b;

@@ -4,9 +4,15 @@
 // channel values and exchanged messages (0.1 dB loss) and mentions the 5-bit
 // alternative. We model messages as symmetric two's-complement integers with
 // a configurable total width and number of fractional bits; all datapath
-// operations (saturating add, boxplus with correction look-up table, min-sum)
-// are integer-exact so the algorithmic fixed-point decoder and the
-// cycle-driven architecture model produce bit-identical results.
+// operations (saturating add, boxplus, min-sum) are integer-exact so the
+// algorithmic fixed-point decoder and the cycle-driven architecture model
+// produce bit-identical results.
+//
+// The Exact boxplus (Eq. 5) is a table read, as in the paper's functional
+// units: BoxplusTable holds the correction ROM corr(x) and, for words of at
+// most 8 bits, a pair ROM of the whole operator over every pair of stored
+// words, filled once from the formula at construction (in this target-generic
+// file). Wider words evaluate the formula per call.
 #pragma once
 
 #include <cstdint>
@@ -72,11 +78,14 @@ constexpr QLLR sat_add(QLLR a, QLLR b, const QuantSpec& spec) noexcept {
     return saturate(a + b, spec);
 }
 
-/// Integer-exact pairwise boxplus with a precomputed correction LUT:
-///   a ⊞ b = sign(a)sign(b)·min(|a|,|b|) + corr(|a+b|) − corr(|a−b|),
-/// where corr(x) = round(log1p(exp(−x·step)) / step), exactly the structure a
-/// hardware functional unit realizes with a small ROM. A table instance is
-/// tied to one QuantSpec.
+/// Integer-exact pairwise boxplus (Eq. 5):
+///   a ⊞ b = sat(sign(a)sign(b)·min(|a|,|b|) + corr(|a+b|) − corr(|a−b|)),
+/// where corr(x) = round(log1p(exp(−x·step)) / step) is the correction ROM a
+/// hardware functional unit reads. For specs of at most 8 bits the
+/// constructor also evaluates the formula for every pair of stored words into
+/// a pair ROM of int8 results, (2·max_raw + 1)² entries (3,969 bytes for
+/// kQuant6, 65,025 at 8 bits), so boxplus() is one table read; wider specs
+/// evaluate the formula per call. A table instance is tied to one QuantSpec.
 class BoxplusTable {
 public:
     explicit BoxplusTable(const QuantSpec& spec);
@@ -90,8 +99,14 @@ public:
         return idx < table_.size() ? table_[idx] : 0;
     }
 
-    /// Pairwise boxplus of two raw messages.
-    QLLR boxplus(QLLR a, QLLR b) const noexcept;
+    /// Pairwise boxplus of two stored words, each in [−max_raw, max_raw]
+    /// (checked in debug builds: a word outside would read past the ROM).
+    QLLR boxplus(QLLR a, QLLR b) const noexcept {
+        DVBS2_ASSERT(a >= -spec_.max_raw() && a <= spec_.max_raw() &&
+                     b >= -spec_.max_raw() && b <= spec_.max_raw());
+        if (pairs_.empty()) return formula(a, b);
+        return pairs_[static_cast<std::size_t>(center_ + a * stride_ + b)];
+    }
 
     /// Raw table access for vectorized gathers (core/simd): `corr_data()[i]`
     /// equals `corr(i)` for i < corr_size(), and corr is 0 beyond that.
@@ -99,8 +114,15 @@ public:
     std::size_t corr_size() const noexcept { return table_.size(); }
 
 private:
+    /// Eq. 5 evaluated from corr(): the pair ROM's contents, and boxplus()
+    /// for specs wider than 8 bits.
+    QLLR formula(QLLR a, QLLR b) const noexcept;
+
     QuantSpec spec_;
-    std::vector<QLLR> table_;  // corr indexed by raw magnitude
+    std::vector<QLLR> table_;         // corr indexed by raw magnitude
+    std::vector<std::int8_t> pairs_;  // a ⊞ b at center_ + a·stride_ + b; empty past 8 bits
+    QLLR stride_ = 0;                 // 2·max_raw + 1
+    QLLR center_ = 0;                 // index of 0 ⊞ 0: max_raw·stride_ + max_raw
 };
 
 /// Min-sum pairwise combine on raw messages (no table needed).

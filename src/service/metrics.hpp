@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "core/types.hpp"
 
@@ -32,6 +33,13 @@ struct LatencyHistogram {
     double percentile(double p) const noexcept;
 
     void merge(const LatencyHistogram& o) noexcept;
+};
+
+/// Decode work of one traffic class, summed over every worker.
+struct ClassMetrics {
+    std::uint64_t frames = 0;   ///< frames decoded
+    std::uint64_t batches = 0;  ///< decode_batch calls
+    double decode_s = 0.0;      ///< wall seconds spent inside decode_batch
 };
 
 /// Point-in-time view of the whole service. All counters are cumulative
@@ -58,6 +66,9 @@ struct ServiceMetrics {
     /// Histogram of batch fill = frames / preferred_batch(); decile i counts
     /// batches with fill in (i/10, (i+1)/10] (a full batch lands in decile 9).
     std::array<std::uint64_t, 10> batch_fill_deciles{};
+    /// Per-class decode work, indexed by ClassId (one entry per add_class);
+    /// the frames sum to `decoded`.
+    std::vector<ClassMetrics> classes;
 
     // --- per-frame results ---
     std::uint64_t ordering_violations = 0;  ///< must stay 0 (CI-gated)
@@ -68,6 +79,13 @@ struct ServiceMetrics {
     double mean_batch_fill() const noexcept {
         return batch_slots ? static_cast<double>(batch_frames) / static_cast<double>(batch_slots)
                            : 0.0;
+    }
+
+    /// Class `cls`'s share of the decode seconds of all classes, in [0, 1].
+    double decode_share(std::size_t cls) const noexcept {
+        double total = 0.0;
+        for (const auto& c : classes) total += c.decode_s;
+        return total > 0.0 && cls < classes.size() ? classes[cls].decode_s / total : 0.0;
     }
 };
 

@@ -6,7 +6,7 @@
 //                Held briefly: never across a frame copy or a decode.
 //   st->mu       per-stream delivery lock: serializes in-order delivery and
 //                the reorder buffer. Callbacks run under it.
-//   metrics_mu_  batch/latency aggregates.
+//   metrics_mu_  batch/latency aggregates and per-class decode counters.
 //   w.engines_mu per-worker engine-table lock, so the metrics poller can
 //                walk a worker's engines while the worker decodes (engine
 //                telemetry itself is read with convergence_snapshot()).
@@ -154,6 +154,7 @@ struct DecodeService::Impl {
     std::uint64_t full_batches_ = 0;
     std::uint64_t linger_batches_ = 0;
     std::array<std::uint64_t, 10> fill_deciles_{};
+    std::vector<ClassMetrics> class_metrics_;  // by ClassId; grows on a class's first batch
     LatencyHistogram latency_;
 
     std::vector<std::unique_ptr<Worker>> workers_;
@@ -318,11 +319,14 @@ struct DecodeService::Impl {
                             n * sizeof(double));
             WorkerClass* wc = nullptr;
             bool failed = false;
+            double decode_s = 0.0;
             try {
                 wc = &worker_class(w, c.cls_id, cs);
                 wc->results.resize(b);
+                const auto t0 = Clock::now();
                 wc->engine->decode_batch(std::span<const double>(w.staging.data(), b * n),
                                          std::span<core::DecodeResult>(wc->results.data(), b));
+                decode_s = seconds_between(t0, Clock::now());
             } catch (...) {
                 // Inputs are validated at submit() and specs at add_class(),
                 // so this is a backend bug. Deliver explicit failures (empty
@@ -350,6 +354,11 @@ struct DecodeService::Impl {
                 if (c.linger_flush) ++linger_batches_;
                 const std::size_t decile = (b * 10 + cs.preferred - 1) / cs.preferred - 1;
                 ++fill_deciles_[std::min<std::size_t>(decile, 9)];
+                if (class_metrics_.size() <= c.cls_id) class_metrics_.resize(c.cls_id + 1);
+                ClassMetrics& cm = class_metrics_[c.cls_id];
+                cm.frames += b;
+                ++cm.batches;
+                cm.decode_s += decode_s;
             }
             {
                 const std::lock_guard<std::mutex> lock(mu_);
@@ -545,10 +554,12 @@ ServiceMetrics DecodeService::metrics() const {
         m.full_batches = im.full_batches_;
         m.linger_batches = im.linger_batches_;
         m.batch_fill_deciles = im.fill_deciles_;
+        m.classes = im.class_metrics_;
         m.latency = im.latency_;
     }
     {
         const std::lock_guard<std::mutex> lock(im.mu_);
+        m.classes.resize(im.classes_.size());  // classes not decoded yet read zero
         m.submitted = im.submitted_;
         m.enqueued = im.enqueued_;
         m.dropped = im.dropped_;

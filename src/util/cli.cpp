@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <stdexcept>
 
 namespace dvbs2::util {
@@ -57,6 +58,18 @@ std::string CliArgs::get(const std::string& name, const std::string& def) const 
 long long CliArgs::get_int(const std::string& name, long long def) const {
     const auto it = values_.find(name);
     return it == values_.end() ? def : parse_int(it->second, "--" + name);
+}
+
+long long CliArgs::bounded_int(const std::string& name, long long def, long long lo,
+                              long long hi) const {
+    const long long v = get_int(name, def);
+    if (v < lo || v > hi)
+        throw std::runtime_error(
+            "--" + name + " must be " +
+            (hi == LLONG_MAX ? "at least " + std::to_string(lo)
+                             : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]") +
+            ", got " + std::to_string(v));
+    return v;
 }
 
 double CliArgs::get_double(const std::string& name, double def) const {

@@ -36,6 +36,13 @@ public:
     long long get_int(const std::string& name, long long def) const;
     double get_double(const std::string& name, double def) const;
 
+    /// get_int for a flag that must lie in [lo, hi]: throws
+    /// std::runtime_error naming the flag and its range otherwise
+    /// ("--workers must be in [0, 4096], got -1"; hi = LLONG_MAX reads
+    /// "at least lo"). Check counts here, before they size anything.
+    long long bounded_int(const std::string& name, long long def, long long lo,
+                          long long hi) const;
+
     const std::vector<std::string>& positional() const noexcept { return positional_; }
 
 private:

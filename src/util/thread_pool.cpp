@@ -10,6 +10,9 @@
 namespace dvbs2::util {
 
 ThreadPool::ThreadPool(unsigned threads) {
+    DVBS2_REQUIRE(threads <= kMaxThreads, "ThreadPool: threads must be at most " +
+                                              std::to_string(kMaxThreads) + ", got " +
+                                              std::to_string(threads));
     if (threads == 0) threads = 1;
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
@@ -77,7 +80,12 @@ void ThreadPool::worker_loop() {
 }
 
 unsigned resolve_thread_count(unsigned requested) {
-    if (requested > 0) return requested;
+    if (requested > 0) {
+        DVBS2_REQUIRE(requested <= kMaxThreads, "thread count must be in [1, " +
+                                                    std::to_string(kMaxThreads) + "], got " +
+                                                    std::to_string(requested));
+        return requested;
+    }
     if (const char* env = std::getenv("DVBS2_THREADS")) {
         // Only the truly empty value counts as unset; anything else must be
         // a valid positive integer. Malformed input used to fall back

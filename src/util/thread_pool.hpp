@@ -21,7 +21,9 @@ namespace dvbs2::util {
 
 class ThreadPool {
 public:
-    /// Spawns `threads` workers (at least 1).
+    /// Spawns `threads` workers (at least 1). Throws std::runtime_error
+    /// naming the count, before any thread starts, when `threads` exceeds
+    /// kMaxThreads.
     explicit ThreadPool(unsigned threads);
 
     /// Blocks until all queued and running jobs finish, then joins.
@@ -54,20 +56,21 @@ private:
     bool stopping_ = false;
 };
 
-/// Upper bound on every thread count the library starts from a setting:
-/// DVBS2_THREADS, service::ServiceConfig::workers and
-/// service::TrafficOptions::producers. A count past it is a malformed
-/// setting (a negative flag value cast to unsigned reads as 4294967295),
-/// rejected before any thread starts.
+/// Upper bound on every thread count the library starts: ThreadPool,
+/// resolve_thread_count (an explicit request or DVBS2_THREADS),
+/// service::ServiceConfig::workers and service::TrafficOptions::producers.
+/// A count past it is a malformed setting (a negative flag value cast to
+/// unsigned reads as 4294967295), rejected before any thread starts.
 inline constexpr unsigned kMaxThreads = 4096;
 
 /// Simulation worker-thread count: `requested` if nonzero, else the
 /// DVBS2_THREADS environment variable if set (non-empty), else
 /// std::thread::hardware_concurrency() (at least 1). Throws
-/// std::runtime_error when DVBS2_THREADS is set but is not a valid integer
-/// in [1, kMaxThreads] — a typo must not silently change the worker count. Only
-/// the truly empty string counts as unset; a whitespace-only value is
-/// malformed like any other non-numeric text and throws.
+/// std::runtime_error when `requested` exceeds kMaxThreads, or when
+/// DVBS2_THREADS is set but is not a valid integer in [1, kMaxThreads] — a
+/// typo must not silently change the worker count. Only the truly empty
+/// string counts as unset; a whitespace-only value is malformed like any
+/// other non-numeric text and throws.
 unsigned resolve_thread_count(unsigned requested);
 
 }  // namespace dvbs2::util

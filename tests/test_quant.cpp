@@ -2,7 +2,12 @@
 // saturation behaviour, boxplus-LUT accuracy against the exact operator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "quant/fixed.hpp"
 #include "util/math.hpp"
@@ -109,3 +114,49 @@ TEST(BoxplusTable, RejectsBadSpecs) {
     EXPECT_THROW(dq::BoxplusTable(dq::QuantSpec{6, 6}), std::runtime_error);
     EXPECT_THROW(dq::BoxplusTable(dq::QuantSpec{20, 2}), std::runtime_error);
 }
+
+// The pair ROM is Eq. 5 stored as a table: boxplus must equal the formula,
+// written out here from corr() and saturate, for every pair of stored words
+// of every spec the ROM covers (2-8 bits, every frac), and for sampled pairs
+// of wider specs, which evaluate the formula per call.
+TEST(BoxplusTable, PairRomEqualsEq5OnEveryWordPair) {
+    const auto eq5 = [](const dq::BoxplusTable& t, dq::QLLR a, dq::QLLR b) {
+        const dq::QLLR m = std::min(std::abs(a), std::abs(b));
+        const dq::QLLR signed_m = (a < 0) != (b < 0) ? -m : m;
+        return dq::saturate(signed_m + t.corr(std::abs(a + b)) - t.corr(std::abs(a - b)),
+                            t.spec());
+    };
+    for (int total = 2; total <= 8; ++total) {
+        for (int frac = 0; frac < total; ++frac) {
+            const dq::QuantSpec spec{total, frac};
+            const dq::BoxplusTable t(spec);
+            const dq::QLLR max = spec.max_raw();
+            for (dq::QLLR a = -max; a <= max; ++a)
+                for (dq::QLLR b = -max; b <= max; ++b)
+                    ASSERT_EQ(t.boxplus(a, b), eq5(t, a, b))
+                        << "q" << total << "." << frac << " a=" << a << " b=" << b;
+        }
+    }
+    std::mt19937 rng(0xB0C5);
+    for (const dq::QuantSpec spec : {dq::QuantSpec{12, 4}, dq::QuantSpec{16, 6}}) {
+        const dq::BoxplusTable t(spec);
+        const dq::QLLR max = spec.max_raw();
+        std::uniform_int_distribution<dq::QLLR> word(-max, max);
+        std::vector<std::pair<dq::QLLR, dq::QLLR>> pairs;
+        for (const dq::QLLR a : {-max, -1, 0, 1, max})
+            for (const dq::QLLR b : {-max, -1, 0, 1, max}) pairs.emplace_back(a, b);
+        for (int i = 0; i < 20000; ++i) pairs.emplace_back(word(rng), word(rng));
+        for (const auto& [a, b] : pairs)
+            ASSERT_EQ(t.boxplus(a, b), eq5(t, a, b))
+                << "q" << spec.total_bits << "." << spec.frac_bits << " a=" << a << " b=" << b;
+    }
+}
+
+#ifndef NDEBUG
+// A word outside ±max_raw would index past the pair ROM; debug builds stop.
+TEST(BoxplusTableDeathTest, OperandOutsideStoredRangeAsserts) {
+    const dq::BoxplusTable t(dq::kQuant6);
+    EXPECT_DEATH((void)t.boxplus(32, 0), "");
+    EXPECT_DEATH((void)t.boxplus(0, -32), "");
+}
+#endif

@@ -235,6 +235,36 @@ TEST(Service, MetricsObeyConservationLawsAfterDrain) {
     EXPECT_EQ(m.convergence.frames, m.decoded);
 }
 
+// Per-class decode counters: one entry per class, frames summing to
+// `decoded`, batches to `batches`, and positive decode seconds for every
+// class that decoded.
+TEST(Service, PerClassDecodeCountersAddUpToTheTotals) {
+    ds::DecodeService svc(quick_config(2, 32, ds::Admission::Block));
+    const auto classes = add_mixed_classes(svc);
+    EXPECT_EQ(svc.metrics().classes.size(), classes.size());  // before any decode
+    ds::TrafficOptions opt;
+    opt.streams = 20;
+    opt.frames_per_stream = 4;
+    opt.producers = 2;
+    const auto rep = ds::run_traffic(svc, classes, opt);
+    const auto m = svc.metrics();
+    ASSERT_EQ(m.classes.size(), classes.size());
+    std::uint64_t frames = 0;
+    std::uint64_t batches = 0;
+    double share = 0.0;
+    for (std::size_t c = 0; c < m.classes.size(); ++c) {
+        frames += m.classes[c].frames;
+        batches += m.classes[c].batches;
+        share += m.decode_share(c);
+        EXPECT_GT(m.classes[c].frames, 0u) << "class " << c;
+        EXPECT_GT(m.classes[c].decode_s, 0.0) << "class " << c;
+    }
+    EXPECT_EQ(frames, m.decoded);
+    EXPECT_EQ(frames, rep.delivered);
+    EXPECT_EQ(batches, m.batches);
+    EXPECT_NEAR(share, 1.0, 1e-9);
+}
+
 // A worker or producer count past util::kMaxThreads (a negative count cast
 // to unsigned reads as 4294967295) is rejected, naming the field, before
 // any thread starts; the bound itself is accepted.

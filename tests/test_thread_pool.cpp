@@ -136,6 +136,35 @@ TEST(ResolveThreadCount, ExplicitRequestWins) {
     EXPECT_EQ(dvbs2::util::resolve_thread_count(5), 5u);
 }
 
+// An explicit count is held to kMaxThreads like DVBS2_THREADS: a negative
+// --threads cast to unsigned must not start 4294967295 threads.
+TEST(ResolveThreadCount, ExplicitRequestPastMaxThreadsThrows) {
+    using dvbs2::util::kMaxThreads;
+    EXPECT_EQ(dvbs2::util::resolve_thread_count(kMaxThreads), kMaxThreads);
+    for (const unsigned bad : {kMaxThreads + 1, 4294967295u}) {
+        try {
+            (void)dvbs2::util::resolve_thread_count(bad);
+            FAIL() << "expected std::runtime_error for " << bad;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::to_string(bad)), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ThreadPool, MoreThanMaxThreadsThrowsBeforeStartingAny) {
+    using dvbs2::util::kMaxThreads;
+    for (const unsigned bad : {kMaxThreads + 1, 4294967295u}) {
+        try {
+            ThreadPool pool(bad);
+            FAIL() << "expected std::runtime_error for " << bad << ", got " << pool.size();
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::to_string(bad)), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(ResolveThreadCount, EnvOverrideAppliesWhenAuto) {
     ASSERT_EQ(setenv("DVBS2_THREADS", "3", 1), 0);
     EXPECT_EQ(dvbs2::util::resolve_thread_count(0), 3u);

@@ -2,6 +2,7 @@
 // bit-vector algebra, statistics, CLI parsing, math kernels.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -201,6 +202,23 @@ TEST(Cli, MalformedNumericValueThrowsNamingTheFlag) {
         EXPECT_NE(std::string(e.what()).find("--step"), std::string::npos) << e.what();
     }
     EXPECT_THROW((void)args.get_int("frames", 0), std::runtime_error);  // empty value
+}
+
+TEST(Cli, BoundedIntNamesTheFlagAndItsRange) {
+    const char* argv[] = {"prog", "--threads=-1", "--streams=0", "--queue=8"};
+    du::CliArgs args(4, argv, {"threads", "streams", "queue"});
+    const auto message = [&](const std::string& name, long long lo, long long hi) {
+        try {
+            (void)args.bounded_int(name, 1, lo, hi);
+        } catch (const std::runtime_error& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(message("threads", 0, 4096), "--threads must be in [0, 4096], got -1");
+    EXPECT_EQ(message("streams", 1, LLONG_MAX), "--streams must be at least 1, got 0");
+    EXPECT_EQ(args.bounded_int("queue", 1, 1, LLONG_MAX), 8);
+    EXPECT_EQ(args.bounded_int("absent", 7, 1, 9), 7);
 }
 
 TEST(Cli, StrictParsersAcceptWellFormedInput) {

@@ -41,19 +41,6 @@ std::vector<std::string> split_csv(const std::string& s) {
     return out;
 }
 
-/// Integer flag --name, which must lie in [lo, hi].
-long long bounded_int(const util::CliArgs& args, const std::string& name, long long def,
-                      long long lo, long long hi) {
-    const long long v = args.get_int(name, def);
-    if (v < lo || v > hi)
-        throw std::runtime_error(
-            "--" + name + " must be " +
-            (hi == LLONG_MAX ? "at least " + std::to_string(lo)
-                             : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]") +
-            ", got " + std::to_string(v));
-    return v;
-}
-
 code::CodeRate parse_rate(const std::string& s) {
     for (auto r : code::all_rates())
         if (code::to_string(r) == s) return r;
@@ -69,13 +56,13 @@ int main(int argc, char** argv) {
                             "workers", "streams", "frames", "producers", "queue", "linger-us",
                             "admission", "toy"});
         constexpr long long kMaxThreads = util::kMaxThreads;
-        const long long workers = bounded_int(args, "workers", 0, 0, kMaxThreads);  // 0 = auto
-        const long long producers = bounded_int(args, "producers", 2, 1, kMaxThreads);
-        const long long streams = bounded_int(args, "streams", 64, 1, LLONG_MAX);
-        const long long frames = bounded_int(args, "frames", 8, 0, LLONG_MAX);
-        const long long queue = bounded_int(args, "queue", 256, 1, LLONG_MAX);
-        const long long linger_us = bounded_int(args, "linger-us", 5000, 0, LLONG_MAX);
-        const long long iters = bounded_int(args, "iters", 10, 0, INT_MAX);
+        const long long workers = args.bounded_int("workers", 0, 0, kMaxThreads);  // 0 = auto
+        const long long producers = args.bounded_int("producers", 2, 1, kMaxThreads);
+        const long long streams = args.bounded_int("streams", 64, 1, LLONG_MAX);
+        const long long frames = args.bounded_int("frames", 8, 0, LLONG_MAX);
+        const long long queue = args.bounded_int("queue", 256, 1, LLONG_MAX);
+        const long long linger_us = args.bounded_int("linger-us", 5000, 0, LLONG_MAX);
+        const long long iters = args.bounded_int("iters", 10, 0, INT_MAX);
 
         // --- decode classes ---
         core::EngineSpec spec;
@@ -170,6 +157,17 @@ int main(int argc, char** argv) {
         t.add_row({"mean iterations", util::TextTable::num(m.convergence.mean_iterations(), 2)});
         t.add_row({"converged fraction", util::TextTable::num(m.convergence.convergence_rate(), 3)});
         t.print(std::cout);
+
+        util::TextTable ct;
+        ct.set_header({"class", "frames", "batches", "decode [s]", "decode share"});
+        for (std::size_t i = 0; i < m.classes.size(); ++i)
+            ct.add_row({util::TextTable::num((long long)i) + " (" + labels[i] + ")",
+                        util::TextTable::num((long long)m.classes[i].frames),
+                        util::TextTable::num((long long)m.classes[i].batches),
+                        util::TextTable::num(m.classes[i].decode_s, 3),
+                        util::TextTable::num(100.0 * m.decode_share(i), 1) + "%"});
+        std::cout << "\n";
+        ct.print(std::cout);
 
         const bool ok = m.ordering_violations + rep.ordering_violations == 0 &&
                         m.decode_failures == 0 && rep.delivered == rep.accepted;
